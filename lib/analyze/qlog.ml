@@ -1,7 +1,6 @@
 type record = { q_t_s : float; q_sample : Router.quality_sample }
 
 let magic = "BGRQ1\n"
-let header_bytes = String.length magic
 let default_filename = "quality.bgrq"
 
 let kind_code = function
@@ -16,13 +15,10 @@ let kind_of_code = function
 
 (* --- encoding -------------------------------------------------------- *)
 
-(* One frame per sample: [u32 len | payload | u32 crc32(payload)], all
-   integers big-endian, floats as IEEE-754 bit patterns.  The payload
-   is self-describing (length-prefixed phase and criterion strings,
-   counted arrays), so readers need no side table — unlike the deletion
-   journal there is no fixed payload length. *)
-
-let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
+(* One {!Frame} per sample, floats as IEEE-754 bit patterns.  The
+   payload is self-describing (length-prefixed phase and criterion
+   strings, counted arrays), so readers need no side table — unlike the
+   deletion journal there is no fixed payload length. *)
 
 let add_short_string b s =
   let s = if String.length s > 255 then String.sub s 0 255 else s in
@@ -38,13 +34,13 @@ let encode_payload (r : record) =
   add_short_string b s.qs_phase;
   Buffer.add_uint16_be b (clamp_u16 s.qs_pass);
   Buffer.add_int64_be b (Int64.of_int s.qs_deletions);
-  add_f64 b r.q_t_s;
-  add_f64 b s.qs_worst_margin_ps;
+  Frame.put_f64 b r.q_t_s;
+  Frame.put_f64 b s.qs_worst_margin_ps;
   Buffer.add_int32_be b (Int32.of_int s.qs_worst_constraint);
   Buffer.add_int32_be b (Int32.of_int s.qs_violations);
-  add_f64 b s.qs_total_negative_ps;
-  add_f64 b s.qs_ep_slack_min_ps;
-  add_f64 b s.qs_ep_slack_max_ps;
+  Frame.put_f64 b s.qs_total_negative_ps;
+  Frame.put_f64 b s.qs_ep_slack_min_ps;
+  Frame.put_f64 b s.qs_ep_slack_max_ps;
   Buffer.add_uint16_be b (clamp_u16 (Array.length s.qs_density));
   Array.iter (fun d -> Buffer.add_int32_be b (Int32.of_int d)) s.qs_density;
   let crit = if List.length s.qs_criteria > 255 then [] else s.qs_criteria in
@@ -55,24 +51,16 @@ let encode_payload (r : record) =
       Buffer.add_int32_be b (Int32.of_int count))
     crit;
   Buffer.add_uint16_be b (clamp_u16 (Array.length s.qs_margins));
-  Array.iter (fun m -> add_f64 b m) s.qs_margins;
+  Array.iter (fun m -> Frame.put_f64 b m) s.qs_margins;
   Buffer.contents b
 
-let encode_frame r =
-  let payload = encode_payload r in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int32_be b (Int32.of_int (Crc32.string payload));
-  Buffer.contents b
+let encode_frame r = Frame.encode (encode_payload r)
 
-exception Malformed of string
-
-let decode_payload s pos len =
-  let limit = pos + len in
-  let p = ref pos in
+let decode_payload s =
+  let limit = String.length s in
+  let p = ref 0 in
   let need n what =
-    if !p + n > limit then raise (Malformed (Printf.sprintf "truncated %s" what))
+    if !p + n > limit then raise (Frame.Malformed (Printf.sprintf "truncated %s" what))
   in
   let u8 what = need 1 what; let v = Char.code s.[!p] in incr p; v in
   let u16 what = need 2 what; let v = String.get_uint16_be s !p in p := !p + 2; v in
@@ -120,7 +108,7 @@ let decode_payload s pos len =
   let n_margins = u16 "margin count" in
   let qs_margins = Array.init n_margins (fun _ -> f64 "margin") in
   if !p <> limit then
-    raise (Malformed (Printf.sprintf "%d trailing bytes in record payload" (limit - !p)));
+    raise (Frame.Malformed (Printf.sprintf "%d trailing bytes in record payload" (limit - !p)));
   { q_t_s;
     q_sample =
       { Router.qs_kind;
@@ -177,85 +165,11 @@ let close w =
 
 type read_result = { records : record list; torn : bool; warnings : string list }
 
-let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
-
-(* The same salvage discipline as [Journal.read_string]: a damaged or
-   incomplete {e final} frame is a torn tail (the process died
-   mid-append) and is truncated away with a warning; damage anywhere
-   before the final frame is corruption and a structured [Parse]
-   error. *)
 let read_string ?file s =
-  let len = String.length s in
-  if len < header_bytes || String.sub s 0 header_bytes <> magic then
-    Error (Bgr_error.make ?file ~phase:"analyze" Bgr_error.Parse "not a bgr quality log")
-  else begin
-    let records = ref [] in
-    let result = ref None in
-    let finish ~torn ~warning =
-      result :=
-        Some
-          (Ok
-             { records = List.rev !records;
-               torn;
-               warnings = (match warning with None -> [] | Some w -> [ w ]) })
-    in
-    let fail fmt =
-      Printf.ksprintf
-        (fun m -> result := Some (Error (Bgr_error.make ?file ~phase:"analyze" Bgr_error.Parse "%s" m)))
-        fmt
-    in
-    let pos = ref header_bytes in
-    while !result = None do
-      let p = !pos in
-      if p = len then finish ~torn:false ~warning:None
-      else if len - p < 4 then
-        finish ~torn:true
-          ~warning:
-            (Some
-               (Printf.sprintf
-                  "quality log tail truncated at byte %d (partial length prefix discarded)" p))
-      else begin
-        let l = get_u32 s p in
-        let frame_end = p + 4 + l + 4 in
-        if l < 1 || l > 0xFFFFF then
-          fail "quality log corrupt at byte %d: implausible record length %d" p l
-        else if frame_end > len then
-          finish ~torn:true
-            ~warning:
-              (Some
-                 (Printf.sprintf "quality log tail truncated at byte %d (torn record discarded)"
-                    p))
-        else begin
-          let crc = get_u32 s (p + 4 + l) in
-          if Crc32.update 0 s (p + 4) l <> crc then begin
-            if frame_end = len then
-              finish ~torn:true
-                ~warning:
-                  (Some
-                     (Printf.sprintf
-                        "quality log tail truncated at byte %d (bad CRC on the final record)" p))
-            else fail "quality log corrupt at byte %d: CRC mismatch before the final record" p
-          end
-          else begin
-            match decode_payload s (p + 4) l with
-            | r ->
-              records := r :: !records;
-              pos := frame_end
-            | exception Malformed m -> fail "quality log corrupt at byte %d: %s" p m
-          end
-        end
-      end
-    done;
-    Option.get !result
-  end
+  Frame.read_string ~magic ~max_len:0xFFFFF ~what:"quality log" ~phase:"analyze" ?file ~init:[]
+    (fun ~at:_ records payload -> decode_payload payload :: records)
+    s
+  |> Result.map (fun (r : _ Frame.salvaged) ->
+         { records = List.rev r.value; torn = r.torn; warnings = Option.to_list r.warning })
 
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> read_string ~file:path s
-  | exception Sys_error msg ->
-    Error (Bgr_error.make ~file:path ~phase:"analyze" Bgr_error.Io_error "%s" msg)
+let read ~path = Result.bind (Frame.read_file ~phase:"analyze" path) (read_string ~file:path)

@@ -2,14 +2,13 @@
     binary stream of {!Router.quality_sample} records stamped with the
     run-relative wall-clock time of emission.
 
-    The framing discipline is the deletion journal's ({!Journal}): a
-    6-byte magic header followed by [u32 len | payload | u32 crc]
-    frames, big-endian throughout, floats as IEEE-754 bit patterns.
+    The file is the magic header followed by one {!Frame} per record
+    (declared lengths up to 0xFFFFF), floats as IEEE-754 bit patterns.
     The payload itself is self-describing — length-prefixed phase and
     criterion strings, counted density/margin arrays — so the format
     survives designs of any channel or constraint count.
 
-    Recovery on read follows the journal's rules: a damaged or
+    Recovery on read is the {!Frame.read_string} salvage rule: a damaged or
     incomplete {e final} frame is a torn tail (the recording process
     died mid-append), truncated away with a warning; damage anywhere
     earlier is a structured [Parse] error. *)

@@ -8,7 +8,6 @@ type options = {
   max_recover_passes : int;
   max_delay_passes : int;
   max_area_passes : int;
-  trace : (string -> unit) option;
   domains : int;
 }
 
@@ -19,7 +18,6 @@ let default_options =
     max_recover_passes = 4;
     max_delay_passes = 3;
     max_area_passes = 3;
-    trace = None;
     domains = 0 }
 
 type phase_report = { reroutes : int; passes : int }
@@ -217,22 +215,13 @@ let m_lm =
    runner routes whole cases inside workers); this is the single gate. *)
 let observing () = Obs.enabled () && not (Par.in_worker ())
 
-(* Deprecation shim: [options.trace] predates the Obs subsystem.  Every
-   message still reaches the raw callback, so existing callers keep
-   working unchanged, but each one is also forwarded into the trace
-   stream as a "router.log" instant event; new code should use
-   [Obs.Trace] instead of this hook. *)
-let trace t fmt =
-  let inactive =
-    (match t.opts.trace with None -> true | Some _ -> false) && not (observing ())
-  in
-  if inactive then Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  else
+(* Free-form progress lines, recorded as "router.log" trace instants. *)
+let trace fmt =
+  if observing () then
     Format.kasprintf
-      (fun s ->
-        if observing () then Obs.Trace.instant "router.log" ~attrs:[ ("msg", Obs.Trace.Str s) ];
-        match t.opts.trace with None -> () | Some emit -> emit s)
+      (fun s -> Obs.Trace.instant "router.log" ~attrs:[ ("msg", Obs.Trace.Str s) ])
       fmt
+  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 (* --- solution-quality telemetry -------------------------------------- *)
 
@@ -728,63 +717,47 @@ let warm_selection_caches t cands =
         n
     end
 
-let select_plain t cands =
-  let best = ref None in
-  Array.iter
-    (fun c ->
-      match !best with
-      | None -> best := Some c
-      | Some b -> if compare_candidates t c b < 0 then best := Some c)
-    cands;
-  !best
-
-(* Same best as [select_plain] (the update condition is identical; the
-   runner-up tracking is a pure bystander), but also reports which
-   criterion made the winner win. *)
-let select_observed t cands =
+(* The best candidate under [compare_candidates].  With [runner_up]
+   the scan also tracks the second best (a pure bystander: the
+   best-update condition is the same) and names the criterion that made
+   the winner win; without it, exactly one comparison per candidate and
+   the label is "" (nobody reads it). *)
+let select t cands ~runner_up =
   let best = ref None and second = ref None in
-  Array.iter
-    (fun c ->
-      match !best with
-      | None -> best := Some c
-      | Some b ->
-        if compare_candidates t c b < 0 then begin
-          second := Some b;
-          best := Some c
-        end
-        else begin
-          match !second with
-          | None -> second := Some c
-          | Some s -> if compare_candidates t c s < 0 then second := Some c
-        end)
-    cands;
+  for i = 0 to Array.length cands - 1 do
+    let c = cands.(i) in
+    match !best with
+    | None -> best := Some c
+    | Some b ->
+      if compare_candidates t c b < 0 then begin
+        if runner_up then second := Some b;
+        best := Some c
+      end
+      else if runner_up then begin
+        match !second with
+        | None -> second := Some c
+        | Some s -> if compare_candidates t c s < 0 then second := Some c
+      end
+  done;
   match !best with
   | None -> None
+  | Some b when not runner_up -> Some (b, "")
   | Some b ->
-    let crit =
-      match !second with None -> "only_candidate" | Some s -> criterion_between t b s
-    in
-    Some (b, crit)
+    Some (b, match !second with None -> "only_candidate" | Some s -> criterion_between t b s)
 
 (* Returns the chosen candidate plus the criterion label for the
-   deletion counter and the quality log ("" when neither observability
-   nor quality recording is on: nobody reads it).  [select_observed]
-   picks the identical winner as [select_plain] — the runner-up
-   tracking and the criterion naming are pure warm-cache reads — so
-   turning either consumer on leaves the deletion hash unchanged. *)
+   deletion counter and the quality log.  The winner does not depend on
+   [runner_up] — the runner-up tracking and the criterion naming are
+   pure warm-cache reads — so turning either consumer on leaves the
+   deletion hash unchanged. *)
 let select_among t net_ids =
   let cands = admissible_candidates t net_ids in
-  if observing () || quality_on t then begin
-    let t0 = if observing () then Obs.now_s () else 0.0 in
-    warm_selection_caches t cands;
-    let r = select_observed t cands in
-    if observing () then Obs.Metrics.observe m_batch (Obs.now_s () -. t0);
-    r
-  end
-  else begin
-    warm_selection_caches t cands;
-    match select_plain t cands with None -> None | Some c -> Some (c, "")
-  end
+  let observed = observing () in
+  let t0 = if observed then Obs.now_s () else 0.0 in
+  warm_selection_caches t cands;
+  let r = select t cands ~runner_up:(observed || quality_on t) in
+  if observed then Obs.Metrics.observe m_batch (Obs.now_s () -. t0);
+  r
 
 (* --- deletion with cascade ------------------------------------------ *)
 
@@ -822,7 +795,7 @@ let rec delete_cascade t n eid ~mirror =
              deletions); fall back to independent routing. *)
           ns.partner_map <- [||];
           pns.partner_map <- [||];
-          trace t "pair %d/%d: homology lost, falling back to independent routing" n p
+          trace "pair %d/%d: homology lost, falling back to independent routing" n p
         end
         else delete_cascade t p peid ~mirror:false
       end
@@ -993,9 +966,9 @@ let route_among t net_ids =
 
 let initial_route t =
   t.cur_phase <- "initial_route";
-  trace t "initial routing: %d nets" (Array.length t.nets);
+  trace "initial routing: %d nets" (Array.length t.nets);
   route_among t (all_net_ids t);
-  trace t "initial routing done after %d deletions" t.deletions
+  trace "initial routing done after %d deletions" t.deletions
 
 (* --- sequential baseline (net-at-a-time, congestion-priced) --------- *)
 
@@ -1016,7 +989,7 @@ let reduce_to_tree t n ~wanted =
 
 let route_sequential ?(congestion_weight = 0.5) ?order t =
   let order = match order with Some o -> o | None -> all_net_ids t in
-  trace t "sequential baseline: %d nets" (List.length order);
+  trace "sequential baseline: %d nets" (List.length order);
   let track_um = (Floorplan.dims t.fp).Dims.track_um in
   let congestion_cost ns (e : Ugraph.edge) =
     match Routing_graph.edge_kind ns.rg e.Ugraph.id with
@@ -1050,7 +1023,7 @@ let route_sequential ?(congestion_weight = 0.5) ?order t =
     end
   in
   List.iter route_one order;
-  trace t "sequential baseline done after %d deletions" t.deletions
+  trace "sequential baseline done after %d deletions" t.deletions
 
 let is_routed t = Array.for_all (fun ns -> ns.candidates = []) t.nets
 
@@ -1106,7 +1079,7 @@ let recover_violations ?(guard = no_guard) ?max_passes t =
             ~attrs:[ ("pass", Obs.Trace.Int !passes) ]
             (fun () -> List.iter on_constraint violated);
           let after = Sta.worst_path_delay sta in
-          trace t "recover pass %d: worst delay %.1f -> %.1f ps" !passes before after;
+          trace "recover pass %d: worst delay %.1f -> %.1f ps" !passes before after;
           emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
           if after < before -. 1e-6 || Sta.violations sta = [] then loop ()
       end
@@ -1149,7 +1122,7 @@ let improve_delay ?(guard = no_guard) ?max_passes t =
           ~attrs:[ ("pass", Obs.Trace.Int !passes) ]
           (fun () -> List.iter on_constraint order);
         let after = Sta.worst_path_delay sta in
-        trace t "delay pass %d: worst delay %.1f -> %.1f ps" !passes before after;
+        trace "delay pass %d: worst delay %.1f -> %.1f ps" !passes before after;
         emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
         if after < before -. 1e-6 then loop ()
       end
@@ -1209,7 +1182,7 @@ let improve_area ?(guard = no_guard) ?max_passes t =
               incr reroutes)
             nets);
       let after = total_tracks t in
-      trace t "area pass %d: total tracks %d -> %d (%d nets)" !passes before after
+      trace "area pass %d: total tracks %d -> %d (%d nets)" !passes before after
         (List.length nets);
       emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
       if after < before then loop ()
@@ -1364,7 +1337,7 @@ let run ?(budget = Budget.unlimited) ?(completed = []) t =
                 Obs.Trace.add_attr "passes" (Obs.Trace.Int r.passes);
                 r)
           in
-          trace t "%s: %d reroutes in %d passes" phase r.reroutes r.passes;
+          trace "%s: %d reroutes in %d passes" phase r.reroutes r.passes;
           mark phase
         end
       in
@@ -1395,7 +1368,7 @@ let run ?(budget = Budget.unlimited) ?(completed = []) t =
       set_area_mode t saved_mode;
       (match !last_ck with
       | Some ck when t.deletions <> ck.ck_deletions ->
-        trace t "%s: rolling back to the last checkpoint" (stop_reason_string reason);
+        trace "%s: rolling back to the last checkpoint" (stop_reason_string reason);
         if observing () then Obs.Metrics.inc m_rollbacks;
         restore t ck;
         rolled_back := true

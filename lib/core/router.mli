@@ -40,13 +40,6 @@ type options = {
   max_recover_passes : int;
   max_delay_passes : int;
   max_area_passes : int;
-  trace : (string -> unit) option;
-      (** Deprecated: the untyped pre-[Obs] trace hook.  Still honoured
-          (every message reaches the callback unchanged), and each
-          message is also forwarded into {!Obs.Trace} as a
-          ["router.log"] instant event when observability is enabled.
-          New code should enable [Obs] and read the span stream
-          instead; this field will eventually be removed. *)
   domains : int;
       (** domain count of the parallel scoring engine: [0] (the
           default) resolves to the [BGR_DOMAINS] environment variable

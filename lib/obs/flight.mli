@@ -24,7 +24,7 @@
     best-effort and never raises: a failed dump must not turn a crash
     report into a second crash.
 
-    The postmortem reader follows the journal's salvage rules: a
+    The postmortem reader follows the {!Frame} salvage rule: a
     damaged final frame is a torn tail (truncated away with a
     warning); damage anywhere earlier is a structured [Parse] error. *)
 

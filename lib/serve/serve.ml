@@ -1011,13 +1011,13 @@ let handle_request st conn req =
 (* Parse as much of [conn.rbuf] as possible: the magic greeting first,
    then complete frames. *)
 let process_input st conn =
-  let magic_len = String.length Wire.magic in
-  if (not conn.greeted) && String.length conn.rbuf >= magic_len then begin
-    if String.sub conn.rbuf 0 magic_len = Wire.magic then begin
+  if not conn.greeted then begin
+    match Frame.greet ~magic:Wire.magic conn.rbuf with
+    | None -> ()
+    | Some (Ok rest) ->
       conn.greeted <- true;
-      conn.rbuf <- String.sub conn.rbuf magic_len (String.length conn.rbuf - magic_len)
-    end
-    else
+      conn.rbuf <- rest
+    | Some (Error _) ->
       protocol_error st conn
         (Bgr_error.make ~phase:"serve" Bgr_error.Parse
            "bad magic: the peer does not speak %s" (String.trim Wire.magic))
@@ -1025,12 +1025,12 @@ let process_input st conn =
   if conn.greeted && not conn.closing then begin
     let continue = ref true in
     while !continue do
-      match Wire.extract_frame conn.rbuf ~pos:0 with
-      | Wire.Need _ -> continue := false
-      | Wire.Bad e ->
+      match Frame.extract ~phase:"serve" ~max_len:Wire.max_payload conn.rbuf ~pos:0 with
+      | Frame.Need _ -> continue := false
+      | Frame.Bad e ->
         protocol_error st conn e;
         continue := false
-      | Wire.Frame (payload, used) -> (
+      | Frame.Frame (payload, used) -> (
         conn.rbuf <- String.sub conn.rbuf used (String.length conn.rbuf - used);
         match Wire.decode_request payload with
         | Error e ->

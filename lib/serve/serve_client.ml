@@ -68,25 +68,22 @@ let connect path =
          (Unix.error_message e))
   | () -> (
     let c = { fd; rbuf = ""; open_ = true } in
-    let magic_len = String.length Wire.magic in
-    let banner =
+    let greeting =
       Result.bind (write_all fd Wire.magic) @@ fun () ->
-      read_until ~timeout_s:10.0 c (fun () ->
-          if String.length c.rbuf >= magic_len then Some (String.sub c.rbuf 0 magic_len)
-          else None)
+      read_until ~timeout_s:10.0 c (fun () -> Frame.greet ~magic:Wire.magic c.rbuf)
     in
-    match banner with
-    | Error e ->
-      close c;
-      Error e
-    | Ok banner when banner <> Wire.magic ->
+    match greeting with
+    | Ok (Ok rest) ->
+      c.rbuf <- rest;
+      Ok c
+    | Ok (Error banner) ->
       close c;
       Error
         (Bgr_error.make ~phase:"serve" ~file:path Bgr_error.Parse
            "the peer is not a bgr daemon (banner %S)" banner)
-    | Ok _ ->
-      c.rbuf <- String.sub c.rbuf magic_len (String.length c.rbuf - magic_len);
-      Ok c)
+    | Error e ->
+      close c;
+      Error e)
 
 let send c req =
   if not c.open_ then io_error "connection is closed" else write_all c.fd (Wire.encode_request req)
@@ -97,13 +94,13 @@ let next_reply ?timeout_s c =
     let frame = ref None in
     let result =
       read_until ?timeout_s c (fun () ->
-          match Wire.extract_frame c.rbuf ~pos:0 with
-          | Wire.Need _ -> None
-          | Wire.Frame (payload, used) ->
+          match Frame.extract ~phase:"serve" ~max_len:Wire.max_payload c.rbuf ~pos:0 with
+          | Frame.Need _ -> None
+          | Frame.Frame (payload, used) ->
             c.rbuf <- String.sub c.rbuf used (String.length c.rbuf - used);
             frame := Some (Ok payload);
             Some ()
-          | Wire.Bad e ->
+          | Frame.Bad e ->
             frame := Some (Error e);
             Some ())
     in

@@ -30,42 +30,7 @@ type reply =
   | Progress of { job : string; seq : int; json : string }
   | Rstats of { prom : bool; body : string }
 
-(* --- primitive encoders ----------------------------------------------- *)
-
-let u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let lpstr b s =
-  u32 b (String.length s);
-  Buffer.add_string b s
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  u32 b (String.length payload);
-  Buffer.add_string b payload;
-  u32 b (Crc32.string payload);
-  Buffer.contents b
-
-(* --- primitive decoders ----------------------------------------------- *)
-
-exception Short
-exception Malformed of string
-
-let get_u32 s pos =
-  if pos + 4 > String.length s then raise Short;
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let get_lpstr s pos =
-  let n = get_u32 s pos in
-  if n > max_payload then raise (Malformed "string length exceeds the frame bound");
-  if pos + 4 + n > String.length s then raise Short;
-  (String.sub s (pos + 4) n, pos + 4 + n)
+let get_lpstr = Frame.get_lpstr ~max_len:max_payload
 
 (* --- request bodies --------------------------------------------------- *)
 
@@ -105,71 +70,71 @@ let encode_request r =
       lor if progress then flag_progress else 0
     in
     Buffer.add_char b (Char.chr flags);
-    u32 b (match deadline_ms with None -> 0 | Some ms -> max 1 ms);
-    lpstr b (Option.value name ~default:"");
-    lpstr b design
+    Frame.put_u32 b (match deadline_ms with None -> 0 | Some ms -> max 1 ms);
+    Frame.put_lpstr b (Option.value name ~default:"");
+    Frame.put_lpstr b design
   | Resume { wait; progress; job } ->
     Buffer.add_char b (Char.chr op_resume);
     Buffer.add_char b
       (Char.chr ((if wait then flag_wait else 0) lor if progress then flag_progress else 0));
-    lpstr b job
+    Frame.put_lpstr b job
   | Analyze { job } ->
     Buffer.add_char b (Char.chr op_analyze);
-    lpstr b job
+    Frame.put_lpstr b job
   | Status { job } ->
     Buffer.add_char b (Char.chr op_status);
-    lpstr b (Option.value job ~default:"")
+    Frame.put_lpstr b (Option.value job ~default:"")
   | Shutdown -> Buffer.add_char b (Char.chr op_shutdown)
   | Cancel { job } ->
     Buffer.add_char b (Char.chr op_cancel);
-    lpstr b job
+    Frame.put_lpstr b job
   | Revive { wait; force; job } ->
     Buffer.add_char b (Char.chr op_revive);
     Buffer.add_char b
       (Char.chr ((if wait then flag_wait else 0) lor if force then flag_force else 0));
-    lpstr b job
+    Frame.put_lpstr b job
   | Watch { job } ->
     Buffer.add_char b (Char.chr op_watch);
-    lpstr b job
+    Frame.put_lpstr b job
   | Stats { prom } ->
     Buffer.add_char b (Char.chr op_stats);
     Buffer.add_char b (Char.chr (if prom then flag_prom else 0))
   | Dump -> Buffer.add_char b (Char.chr op_dump));
-  frame (Buffer.contents b)
+  Frame.encode (Buffer.contents b)
 
 let encode_reply r =
   let b = Buffer.create 256 in
   (match r with
   | Accepted { job } ->
     Buffer.add_char b (Char.chr op_accepted);
-    lpstr b job
+    Frame.put_lpstr b job
   | Result { job; ok; json } ->
     Buffer.add_char b (Char.chr op_result);
-    lpstr b job;
+    Frame.put_lpstr b job;
     Buffer.add_char b (if ok then '\001' else '\000');
-    lpstr b json
+    Frame.put_lpstr b json
   | Rerror { code; message } ->
     Buffer.add_char b (Char.chr op_error);
-    lpstr b code;
-    lpstr b message
+    Frame.put_lpstr b code;
+    Frame.put_lpstr b message
   | Overloaded { reason; depth; cap } ->
     Buffer.add_char b (Char.chr op_overloaded);
-    lpstr b reason;
-    u32 b depth;
-    u32 b cap
+    Frame.put_lpstr b reason;
+    Frame.put_u32 b depth;
+    Frame.put_u32 b cap
   | Info { json } ->
     Buffer.add_char b (Char.chr op_info);
-    lpstr b json
+    Frame.put_lpstr b json
   | Progress { job; seq; json } ->
     Buffer.add_char b (Char.chr op_progress);
-    lpstr b job;
-    u32 b seq;
-    lpstr b json
+    Frame.put_lpstr b job;
+    Frame.put_u32 b seq;
+    Frame.put_lpstr b json
   | Rstats { prom; body } ->
     Buffer.add_char b (Char.chr op_rstats);
     Buffer.add_char b (Char.chr (if prom then flag_prom else 0));
-    lpstr b body);
-  frame (Buffer.contents b)
+    Frame.put_lpstr b body);
+  Frame.encode (Buffer.contents b)
 
 (* --- payload decoding -------------------------------------------------- *)
 
@@ -189,9 +154,9 @@ let decode_request ?file s =
     let op = Char.code s.[0] in
     match
       if op = op_route then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
-        let deadline = get_u32 s 2 in
+        let deadline = Frame.get_u32 s 2 in
         let name, pos = get_lpstr s 6 in
         let design, pos = get_lpstr s pos in
         finish ?file ~what:"route" s pos
@@ -204,7 +169,7 @@ let decode_request ?file s =
                design })
       end
       else if op = op_resume then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
         let job, pos = get_lpstr s 2 in
         finish ?file ~what:"resume" s pos
@@ -228,7 +193,7 @@ let decode_request ?file s =
         finish ?file ~what:"cancel" s pos (Cancel { job })
       end
       else if op = op_revive then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
         let job, pos = get_lpstr s 2 in
         finish ?file ~what:"revive" s pos
@@ -240,7 +205,7 @@ let decode_request ?file s =
         finish ?file ~what:"watch" s pos (Watch { job })
       end
       else if op = op_stats then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
         finish ?file ~what:"stats" s 2 (Stats { prom = flags land flag_prom <> 0 })
       end
@@ -248,8 +213,8 @@ let decode_request ?file s =
       else parse_error ?file "unknown request opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error ?file "request body is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error ?file "%s" m
+    | exception Frame.Short -> parse_error ?file "request body is truncated (opcode 0x%02x)" op
+    | exception Frame.Malformed m -> parse_error ?file "%s" m
   end
 
 let decode_reply ?file s =
@@ -263,7 +228,7 @@ let decode_reply ?file s =
       end
       else if op = op_result then begin
         let job, pos = get_lpstr s 1 in
-        if pos >= String.length s then raise Short;
+        if pos >= String.length s then raise Frame.Short;
         let ok = s.[pos] <> '\000' in
         let json, pos = get_lpstr s (pos + 1) in
         finish ?file ~what:"result" s pos (Result { job; ok; json })
@@ -275,8 +240,8 @@ let decode_reply ?file s =
       end
       else if op = op_overloaded then begin
         let reason, pos = get_lpstr s 1 in
-        let depth = get_u32 s pos in
-        let cap = get_u32 s (pos + 4) in
+        let depth = Frame.get_u32 s pos in
+        let cap = Frame.get_u32 s (pos + 4) in
         finish ?file ~what:"overloaded" s (pos + 8) (Overloaded { reason; depth; cap })
       end
       else if op = op_info then begin
@@ -285,12 +250,12 @@ let decode_reply ?file s =
       end
       else if op = op_progress then begin
         let job, pos = get_lpstr s 1 in
-        let seq = get_u32 s pos in
+        let seq = Frame.get_u32 s pos in
         let json, pos = get_lpstr s (pos + 4) in
         finish ?file ~what:"progress" s pos (Progress { job; seq; json })
       end
       else if op = op_rstats then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
         let body, pos = get_lpstr s 2 in
         finish ?file ~what:"stats" s pos (Rstats { prom = flags land flag_prom <> 0; body })
@@ -298,34 +263,8 @@ let decode_reply ?file s =
       else parse_error ?file "unknown reply opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error ?file "reply body is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error ?file "%s" m
-  end
-
-(* --- incremental frame extraction -------------------------------------- *)
-
-type extract = Need of int | Frame of string * int | Bad of Bgr_error.t
-
-let extract_frame s ~pos =
-  let avail = String.length s - pos in
-  if avail < 4 then Need (4 - avail)
-  else begin
-    let len = get_u32 s pos in
-    if len > max_payload then
-      Bad
-        (Bgr_error.make ~phase:"serve" Bgr_error.Parse
-           "frame declares a %d-byte payload; the protocol caps payloads at %d" len
-           max_payload)
-    else if avail < 4 + len + 4 then Need ((4 + len + 4) - avail)
-    else begin
-      let payload = String.sub s (pos + 4) len in
-      let crc = get_u32 s (pos + 4 + len) in
-      if crc <> Crc32.string payload then
-        Bad
-          (Bgr_error.make ~phase:"serve" Bgr_error.Parse
-             "frame CRC mismatch (recorded %08x, computed %08x)" crc (Crc32.string payload))
-      else Frame (payload, 4 + len + 4)
-    end
+    | exception Frame.Short -> parse_error ?file "reply body is truncated (opcode 0x%02x)" op
+    | exception Frame.Malformed m -> parse_error ?file "%s" m
   end
 
 let valid_job_id s =

@@ -4,10 +4,11 @@
    worker] subprocess per attempt and watches its report pipe; the
    worker side ([main]) re-opens the job's spool directory, runs the
    one attempt, and reports heartbeats, progress and the final verdict
-   over stdout in the house CRC framing.  See docs/FORMATS.md for the
-   frame spec. *)
+   over stdout in the shared {!Frame} framing.  See docs/FORMATS.md for
+   the frame spec. *)
 
 let magic = "BGRW1\n"
+let max_payload = 16 * 1024 * 1024
 
 type event =
   | Heartbeat of { phase : string; pass : int; deletions : int; worst_margin_ps : float }
@@ -16,7 +17,7 @@ type event =
   | Obs_summary of { json : string }
   | Dump of { path : string }
 
-(* --- framing (the BGRS1 discipline, worker-pipe opcodes) --------------- *)
+(* --- payload codec (worker-pipe opcodes) --------------------------------- *)
 
 let op_heartbeat = 0xC1
 let op_done = 0xC2
@@ -24,75 +25,31 @@ let op_fail = 0xC3
 let op_obs_summary = 0xC4
 let op_dump = 0xC5
 
-let u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let f64 b v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (i * 8)) 0xFFL)))
-  done
-
-let lpstr b s =
-  u32 b (String.length s);
-  Buffer.add_string b s
+let get_lpstr = Frame.get_lpstr ~max_len:max_payload
 
 let encode_event ev =
   let b = Buffer.create 64 in
   (match ev with
   | Heartbeat { phase; pass; deletions; worst_margin_ps } ->
     Buffer.add_char b (Char.chr op_heartbeat);
-    lpstr b phase;
-    u32 b pass;
-    u32 b deletions;
-    f64 b worst_margin_ps
+    Frame.put_lpstr b phase;
+    Frame.put_u32 b pass;
+    Frame.put_u32 b deletions;
+    Frame.put_f64 b worst_margin_ps
   | Done { json } ->
     Buffer.add_char b (Char.chr op_done);
-    lpstr b json
+    Frame.put_lpstr b json
   | Fail { code; message } ->
     Buffer.add_char b (Char.chr op_fail);
-    lpstr b code;
-    lpstr b message
+    Frame.put_lpstr b code;
+    Frame.put_lpstr b message
   | Obs_summary { json } ->
     Buffer.add_char b (Char.chr op_obs_summary);
-    lpstr b json
+    Frame.put_lpstr b json
   | Dump { path } ->
     Buffer.add_char b (Char.chr op_dump);
-    lpstr b path);
-  let payload = Buffer.contents b in
-  let f = Buffer.create (String.length payload + 8) in
-  u32 f (String.length payload);
-  Buffer.add_string f payload;
-  u32 f (Crc32.string payload);
-  Buffer.contents f
-
-exception Short
-exception Malformed of string
-
-let get_u32 s pos =
-  if pos + 4 > String.length s then raise Short;
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let get_lpstr s pos =
-  let n = get_u32 s pos in
-  if n > Wire.max_payload then raise (Malformed "string length exceeds the frame bound");
-  if pos + 4 + n > String.length s then raise Short;
-  (String.sub s (pos + 4) n, pos + 4 + n)
-
-let get_f64 s pos =
-  if pos + 8 > String.length s then raise Short;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  Int64.float_of_bits !bits
+    Frame.put_lpstr b path);
+  Frame.encode (Buffer.contents b)
 
 let parse_error fmt =
   Printf.ksprintf
@@ -111,9 +68,9 @@ let decode_event s =
     match
       if op = op_heartbeat then begin
         let phase, pos = get_lpstr s 1 in
-        let pass = get_u32 s pos in
-        let deletions = get_u32 s (pos + 4) in
-        let worst_margin_ps = get_f64 s (pos + 8) in
+        let pass = Frame.get_u32 s pos in
+        let deletions = Frame.get_u32 s (pos + 4) in
+        let worst_margin_ps = Frame.get_f64 s (pos + 8) in
         finish (pos + 16) (Heartbeat { phase; pass; deletions; worst_margin_ps })
       end
       else if op = op_done then begin
@@ -136,8 +93,8 @@ let decode_event s =
       else parse_error "unknown worker event opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error "worker event is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error "%s" m
+    | exception Frame.Short -> parse_error "worker event is truncated (opcode 0x%02x)" op
+    | exception Frame.Malformed m -> parse_error "%s" m
   end
 
 (* --- job result json (shared by daemon and worker) --------------------- *)
@@ -551,24 +508,22 @@ let supervise ?(heartbeat_timeout_ms = 10_000.) ?(hard_deadline_ms = infinity)
       in
       let consume_frames () =
         if not !greeted then begin
-          let ml = String.length magic in
-          if String.length !rbuf >= ml then begin
-            if String.sub !rbuf 0 ml = magic then begin
-              greeted := true;
-              rbuf := String.sub !rbuf ml (String.length !rbuf - ml)
-            end
-            else kill (`Protocol "bad worker-pipe magic")
-          end
+          match Frame.greet ~magic !rbuf with
+          | None -> ()
+          | Some (Ok rest) ->
+            greeted := true;
+            rbuf := rest
+          | Some (Error _) -> kill (`Protocol "bad worker-pipe magic")
         end;
         if !greeted then begin
           let continue = ref true in
           while !continue do
-            match Wire.extract_frame !rbuf ~pos:0 with
-            | Wire.Need _ -> continue := false
-            | Wire.Bad e ->
+            match Frame.extract ~phase:"serve" ~max_len:max_payload !rbuf ~pos:0 with
+            | Frame.Need _ -> continue := false
+            | Frame.Bad e ->
               kill (`Protocol e.Bgr_error.message);
               continue := false
-            | Wire.Frame (payload, used) -> (
+            | Frame.Frame (payload, used) -> (
               rbuf := String.sub !rbuf used (String.length !rbuf - used);
               match decode_event payload with
               | Error e ->

@@ -49,10 +49,12 @@ let mini_hash =
 
 (* --- wire round trips -------------------------------------------------- *)
 
+let extract_frame s ~pos = Frame.extract ~phase:"serve" ~max_len:Wire.max_payload s ~pos
+
 let roundtrip_request r =
   let f = Wire.encode_request r in
-  match Wire.extract_frame f ~pos:0 with
-  | Wire.Frame (payload, used) ->
+  match extract_frame f ~pos:0 with
+  | Frame.Frame (payload, used) ->
     checki "whole frame" (String.length f) used;
     (match Wire.decode_request payload with
     | Ok r' -> checkb "request round trip" true (r = r')
@@ -61,8 +63,8 @@ let roundtrip_request r =
 
 let roundtrip_reply r =
   let f = Wire.encode_reply r in
-  match Wire.extract_frame f ~pos:0 with
-  | Wire.Frame (payload, _) -> (
+  match extract_frame f ~pos:0 with
+  | Frame.Frame (payload, _) -> (
     match Wire.decode_reply payload with
     | Ok r' -> checkb "reply round trip" true (r = r')
     | Error e -> Alcotest.failf "decode: %s" e.Bgr_error.message)
@@ -111,8 +113,8 @@ let test_wire_roundtrip () =
 let test_wire_malformed () =
   (* trailing bytes after a well-formed body *)
   let f = Wire.encode_request Wire.Shutdown in
-  (match Wire.extract_frame f ~pos:0 with
-  | Wire.Frame (payload, _) -> (
+  (match extract_frame f ~pos:0 with
+  | Frame.Frame (payload, _) -> (
     match Wire.decode_request (payload ^ "x") with
     | Error e ->
       checkb "crc fails first on appended garbage... decode rejects trailing" true
@@ -154,27 +156,27 @@ let test_extract_frame () =
   let f = Wire.encode_request (Wire.Status { job = None }) in
   (* byte-at-a-time: Need until the last byte *)
   for i = 0 to String.length f - 1 do
-    match Wire.extract_frame (String.sub f 0 i) ~pos:0 with
-    | Wire.Need n -> checkb "need is positive" true (n > 0)
+    match extract_frame (String.sub f 0 i) ~pos:0 with
+    | Frame.Need n -> checkb "need is positive" true (n > 0)
     | _ -> Alcotest.failf "prefix %d should be Need" i
   done;
-  (match Wire.extract_frame (f ^ f) ~pos:0 with
-  | Wire.Frame (_, used) -> (
-    match Wire.extract_frame (f ^ f) ~pos:used with
-    | Wire.Frame (_, used') -> checki "second frame" (String.length f) used'
+  (match extract_frame (f ^ f) ~pos:0 with
+  | Frame.Frame (_, used) -> (
+    match extract_frame (f ^ f) ~pos:used with
+    | Frame.Frame (_, used') -> checki "second frame" (String.length f) used'
     | _ -> Alcotest.fail "second frame")
   | _ -> Alcotest.fail "first frame");
   (* CRC damage *)
   let damaged = Bytes.of_string f in
   Bytes.set damaged (Bytes.length damaged - 1)
     (Char.chr (Char.code (Bytes.get damaged (Bytes.length damaged - 1)) lxor 0xFF));
-  (match Wire.extract_frame (Bytes.to_string damaged) ~pos:0 with
-  | Wire.Bad e -> checkb "crc damage is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
+  (match extract_frame (Bytes.to_string damaged) ~pos:0 with
+  | Frame.Bad e -> checkb "crc damage is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
   | _ -> Alcotest.fail "damaged CRC accepted");
   (* oversized declared length rejected before the body arrives *)
   let oversized = "\x20\x00\x00\x00" in
-  match Wire.extract_frame oversized ~pos:0 with
-  | Wire.Bad e -> checkb "oversized is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
+  match extract_frame oversized ~pos:0 with
+  | Frame.Bad e -> checkb "oversized is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
   | _ -> Alcotest.fail "oversized length accepted"
 
 (* QCheck: encode/decode is the identity over generated messages (the
@@ -256,8 +258,8 @@ let event_eq a b =
 
 let frame_roundtrip_with ~eq encode extract_decode v =
   let f = encode v in
-  match Wire.extract_frame f ~pos:0 with
-  | Wire.Frame (payload, used) -> (
+  match extract_frame f ~pos:0 with
+  | Frame.Frame (payload, used) -> (
     used = String.length f
     && match extract_decode payload with Ok v' -> eq v v' | Error _ -> false)
   | _ -> false
@@ -288,8 +290,8 @@ let test_worker_event_cases () =
   List.iter
     (fun ev ->
       let f = Worker.encode_event ev in
-      match Wire.extract_frame f ~pos:0 with
-      | Wire.Frame (payload, used) ->
+      match extract_frame f ~pos:0 with
+      | Frame.Frame (payload, used) ->
         checki "whole frame" (String.length f) used;
         (match Worker.decode_event payload with
         | Ok ev' -> checkb "event round trip" true (event_eq ev ev')
@@ -327,24 +329,24 @@ let be32 v =
 
 let test_frame_cap_edges () =
   (* a header declaring exactly the cap asks for more bytes... *)
-  (match Wire.extract_frame (be32 Wire.max_payload) ~pos:0 with
-  | Wire.Need n -> checki "needs payload + crc" (Wire.max_payload + 4) n
+  (match extract_frame (be32 Wire.max_payload) ~pos:0 with
+  | Frame.Need n -> checki "needs payload + crc" (Wire.max_payload + 4) n
   | _ -> Alcotest.fail "at-cap header rejected");
   (* ...and the complete at-cap frame decodes *)
   let payload = String.make Wire.max_payload 'a' in
   let frame = be32 Wire.max_payload ^ payload ^ be32 (Crc32.string payload) in
-  (match Wire.extract_frame frame ~pos:0 with
-  | Wire.Frame (p, used) ->
+  (match extract_frame frame ~pos:0 with
+  | Frame.Frame (p, used) ->
     checki "used the whole frame" (String.length frame) used;
     checki "payload intact" Wire.max_payload (String.length p)
   | _ -> Alcotest.fail "at-cap frame rejected");
   (* one byte past the cap is refused from the header alone *)
-  (match Wire.extract_frame (be32 (Wire.max_payload + 1)) ~pos:0 with
-  | Wire.Bad e -> checkb "over-cap is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
+  (match extract_frame (be32 (Wire.max_payload + 1)) ~pos:0 with
+  | Frame.Bad e -> checkb "over-cap is Parse" true (e.Bgr_error.code = Bgr_error.Parse)
   | _ -> Alcotest.fail "over-cap header accepted");
   (* the zero-length payload is a frame, not a protocol error... *)
-  match Wire.extract_frame (be32 0 ^ be32 (Crc32.string "")) ~pos:0 with
-  | Wire.Frame (p, used) ->
+  match extract_frame (be32 0 ^ be32 (Crc32.string "")) ~pos:0 with
+  | Frame.Frame (p, used) ->
     checki "empty frame used" 8 used;
     checki "empty payload" 0 (String.length p);
     (* ...and the decoder refuses the empty body downstream *)
@@ -1720,10 +1722,10 @@ let raw_reply fd =
   let buf = Bytes.create 65536 in
   let acc = ref "" in
   let rec go () =
-    match Wire.extract_frame !acc ~pos:0 with
-    | Wire.Frame (payload, _) -> Some (Wire.decode_reply payload)
-    | Wire.Bad _ -> None
-    | Wire.Need _ -> (
+    match extract_frame !acc ~pos:0 with
+    | Frame.Frame (payload, _) -> Some (Wire.decode_reply payload)
+    | Frame.Bad _ -> None
+    | Frame.Need _ -> (
       match Unix.read fd buf 0 (Bytes.length buf) with
       | 0 -> None
       | n ->

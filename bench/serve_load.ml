@@ -12,9 +12,8 @@
    its overload regime without losing work.  The report: throughput,
    latency percentiles, shed/retry counts, and the registry payload on
    one BENCH_METRICS_JSON line (persisted via --bench-out /
-   BGR_BENCH_OUT like bench/main.exe).  Every job's deletion hash is
-   checked against the uninterrupted in-process run: load must never
-   change the answer.
+   BGR_BENCH_OUT).  Every job's deletion hash is checked against the
+   uninterrupted in-process run: load must never change the answer.
 
    Before the drive the bench also charges the always-on flight
    recorder: per-event record cost times the events one route records,

@@ -356,7 +356,13 @@ let ablation_cmd =
     match which with
     | `A1 -> Table.print (Experiments.ablation_a1 case)
     | `A3 -> Table.print (Experiments.ablation_a3 case)
-    | `A4 -> Table.print (Experiments.ablation_a4 case)
+    | `A4 ->
+      Table.print (Experiments.ablation_a4 case);
+      Printf.printf
+        "Elmore vs lumped wire delay on the final trees: worst per-net ratio %.3f\n\
+        \     (close to 1: bipolar wires are wide, so \"the wire resistance is rather\n\
+        \     small\" and the paper's capacitance-only model is adequate).\n"
+        (Experiments.rc_vs_lumped_worst (Flow.run case.Suite.input))
     | `A5 -> Table.print (Experiments.ablation_a5 case)
     | `A6 -> Table.print (Experiments.ablation_a6 case)
     | `A7 -> Table.print (Experiments.ablation_a7 ())

@@ -4,15 +4,11 @@ type result = {
   worst_ps : float;
 }
 
-(* Default loads/drives for chip ports, matching Delay_graph.build. *)
-let port_load_ff = 1.5
-let port_td = 0.5
-
 let endpoint_load netlist = function
   | Netlist.Pin p ->
     let master = (Netlist.instance netlist p.Netlist.inst).Netlist.master in
     (Cell.terminal master p.Netlist.term).Cell.fanin_ff
-  | Netlist.Port _ -> port_load_ff
+  | Netlist.Port _ -> Delay_graph.port_load_ff
 
 let driver_td netlist (rg : Routing_graph.t) =
   let net = Netlist.net netlist rg.Routing_graph.net_id in
@@ -20,7 +16,7 @@ let driver_td netlist (rg : Routing_graph.t) =
   | Netlist.Pin p ->
     let master = (Netlist.instance netlist p.Netlist.inst).Netlist.master in
     (Cell.terminal master p.Netlist.term).Cell.td_ps_per_ff
-  | Netlist.Port _ -> port_td
+  | Netlist.Port _ -> Delay_graph.port_td
 
 let analyze ?(width_scale = 1.0) ~dims ~netlist ~rg ~tree () =
   if width_scale <= 0.0 then invalid_arg "Elmore.analyze: width_scale must be positive";

@@ -156,24 +156,22 @@ let finish ?(channel_algorithm = Left_edge) ?on_quality prep router run_report =
     match sta with
     | None -> (nan, infinity, 0, nan)
     | Some sta ->
-      for net = 0 to n_nets - 1 do
-        let pitch = (Netlist.net input.netlist net).Netlist.pitch in
-        let cap = final_length_um net *. Dims.cap_per_um_at dims ~width:(float_of_int pitch) in
-        Delay_graph.set_net_cap dg ~net ~cap_ff:cap
-      done;
-      Sta.refresh sta;
+      let set_measured_caps () =
+        for net = 0 to n_nets - 1 do
+          let pitch = (Netlist.net input.netlist net).Netlist.pitch in
+          let cap = final_length_um net *. Dims.cap_per_um_at dims ~width:(float_of_int pitch) in
+          Delay_graph.set_net_cap dg ~net ~cap_ff:cap
+        done;
+        Sta.refresh sta
+      in
+      set_measured_caps ();
       let delay = Sta.worst_path_delay sta in
       let margin = match Sta.worst sta with Some (_, m) -> m | None -> infinity in
       let violations = List.length (Sta.violations sta) in
       let bound = Lower_bound.critical_delay ~channel_tracks:tracks sta fp in
       (* Restore the measured (post-channel-routing) capacitances that
          Lower_bound reset to the router's estimates. *)
-      for net = 0 to n_nets - 1 do
-        let pitch = (Netlist.net input.netlist net).Netlist.pitch in
-        let cap = final_length_um net *. Dims.cap_per_um_at dims ~width:(float_of_int pitch) in
-        Delay_graph.set_net_cap dg ~net ~cap_ff:cap
-      done;
-      Sta.refresh sta;
+      set_measured_caps ();
       (delay, margin, violations, bound)
   in
   (match on_quality with

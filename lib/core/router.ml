@@ -354,6 +354,14 @@ let unregister_edge_density t ns (e : Ugraph.edge) =
 let register_net_density t ns = Ugraph.iter_edges ns.rg.Routing_graph.graph (register_edge_density t ns)
 let unregister_net_density t ns = Ugraph.iter_edges ns.rg.Routing_graph.graph (unregister_edge_density t ns)
 
+(* The deletable candidates: every live non-bridge edge, in edge-id
+   order. *)
+let candidates_of g bridge =
+  List.rev
+    (Ugraph.fold_edges g
+       (fun acc (e : Ugraph.edge) -> if bridge.(e.Ugraph.id) then acc else e.Ugraph.id :: acc)
+       [])
+
 (* Recompute the bridge set; reflect status flips of live trunks in the
    d_m chart and refresh the candidate list. *)
 let refresh_bridges t ns =
@@ -368,11 +376,7 @@ let refresh_bridges t ns =
         | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ()
       end);
   ns.bridge <- nb;
-  ns.candidates <-
-    List.rev
-      (Ugraph.fold_edges g
-         (fun acc (e : Ugraph.edge) -> if nb.(e.Ugraph.id) then acc else e.Ugraph.id :: acc)
-         [])
+  ns.candidates <- candidates_of g nb
 
 (* --- wire-length estimation ---------------------------------------- *)
 
@@ -407,6 +411,12 @@ let apply_net_timing t ns =
           Option.value (Hashtbl.find_opt lookup ep) ~default:0.0));
     Sta.refresh_for_nets sta [ net ]
 
+let set_tree ns edges =
+  ns.tree <- edges;
+  let set = Array.make (Ugraph.n_edges_total ns.rg.Routing_graph.graph) false in
+  List.iter (fun e -> set.(e) <- true) edges;
+  ns.tree_set <- set
+
 let refresh_tree t ns =
   match Routing_graph.tentative_tree ns.rg with
   | None ->
@@ -414,10 +424,7 @@ let refresh_tree t ns =
       (Routing_graph.Unroutable
          (Printf.sprintf "net %d lost terminal connectivity" ns.rg.Routing_graph.net_id))
   | Some edges ->
-    ns.tree <- edges;
-    let set = Array.make (Ugraph.n_edges_total ns.rg.Routing_graph.graph) false in
-    List.iter (fun e -> set.(e) <- true) edges;
-    ns.tree_set <- set;
+    set_tree ns edges;
     let cl = current_cl t ns in
     (* Under the lumped model an unchanged CL means unchanged weights;
        under Elmore the per-sink split can shift even then, so any tree
@@ -842,15 +849,9 @@ let fresh_net_state ?jog_cost fp assignment net_id =
   let rg = Routing_graph.build ?jog_cost fp assignment ~net:net_id in
   Routing_graph.prune_dangling rg ~on_delete:(fun _ -> ());
   let bridge = Bridges.bridges rg.Routing_graph.graph in
-  let candidates =
-    List.rev
-      (Ugraph.fold_edges rg.Routing_graph.graph
-         (fun acc (e : Ugraph.edge) -> if bridge.(e.Ugraph.id) then acc else e.Ugraph.id :: acc)
-         [])
-  in
   { rg;
     bridge;
-    candidates;
+    candidates = candidates_of rg.Routing_graph.graph bridge;
     tree = [];
     tree_set = [||];
     cl_ff = -1.0;
@@ -877,6 +878,21 @@ let recognize_pair t n p =
     let rev = Array.make (Ugraph.n_edges_total pns.rg.Routing_graph.graph) (-1) in
     Array.iteri (fun ea eb -> if eb >= 0 then rev.(eb) <- ea) emap;
     pns.partner_map <- rev
+
+(* Rebuild every net's state from its full candidate graph, refresh the
+   timing state and recognise the differential pairs. *)
+let init_all_nets t =
+  let netlist = Floorplan.netlist t.fp in
+  Array.iter (fun ns -> unregister_net_density t ns) t.nets;
+  for net = 0 to Array.length t.nets - 1 do
+    init_net_state t net
+  done;
+  (match t.sta with Some sta -> Sta.refresh sta | None -> ());
+  for net = 0 to Array.length t.nets - 1 do
+    match (Netlist.net netlist net).Netlist.diff_partner with
+    | Some p when p > net -> recognize_pair t net p
+    | Some _ | None -> ()
+  done
 
 let create ?(options = default_options) fp assignment sta =
   let netlist = Floorplan.netlist fp in
@@ -921,16 +937,7 @@ let create ?(options = default_options) fp assignment sta =
   t.jog_um <-
     Array.init (Floorplan.n_channels fp) (fun c ->
         0.25 *. float_of_int (Density.cM t.dens ~channel:c) *. (Floorplan.dims fp).Dims.track_um);
-  Array.iter (fun ns -> unregister_net_density t ns) t.nets;
-  for net = 0 to n_nets - 1 do
-    init_net_state t net
-  done;
-  (match sta with Some sta -> Sta.refresh sta | None -> ());
-  for net = 0 to n_nets - 1 do
-    match (Netlist.net netlist net).Netlist.diff_partner with
-    | Some p when p > net -> recognize_pair t net p
-    | Some _ | None -> ()
-  done;
+  init_all_nets t;
   t
 
 (* --- phases ----------------------------------------------------------- *)
@@ -972,22 +979,26 @@ let initial_route t =
 
 (* --- sequential baseline (net-at-a-time, congestion-priced) --------- *)
 
-(* Reduce one net's graph to exactly [wanted] by deleting non-bridge
-   edges outside it; mirrored partners follow through delete_cascade. *)
-let reduce_to_tree t n ~wanted =
+(* Delete the candidates of net [n] outside [keep] until none is left;
+   with [mirror], recognised partners follow through delete_cascade. *)
+let delete_outside t n ~keep ~mirror =
   let ns = t.nets.(n) in
-  let in_tree = Hashtbl.create 32 in
-  List.iter (fun eid -> Hashtbl.replace in_tree eid ()) wanted;
+  let in_keep = Hashtbl.create 64 in
+  List.iter (fun eid -> Hashtbl.replace in_keep eid ()) keep;
   let rec loop () =
-    match List.find_opt (fun eid -> not (Hashtbl.mem in_tree eid)) ns.candidates with
+    match List.find_opt (fun eid -> not (Hashtbl.mem in_keep eid)) ns.candidates with
     | Some eid ->
-      delete_cascade t n eid ~mirror:true;
+      delete_cascade t n eid ~mirror;
       loop ()
     | None -> ()
   in
   loop ()
 
-let route_sequential ?(congestion_weight = 0.5) ?order t =
+(* Track-heights added to a trunk's cost per unit of channel density
+   over its span, in the sequential baseline. *)
+let congestion_weight = 0.5
+
+let route_sequential ?order t =
   let order = match order with Some o -> o | None -> all_net_ids t in
   trace "sequential baseline: %d nets" (List.length order);
   let track_um = (Floorplan.dims t.fp).Dims.track_um in
@@ -1010,7 +1021,7 @@ let route_sequential ?(congestion_weight = 0.5) ?order t =
         (match (Netlist.net netlist n).Netlist.diff_partner with
         | Some p -> routed.(p) <- true
         | None -> ());
-        reduce_to_tree t n ~wanted;
+        delete_outside t n ~keep:wanted ~mirror:true;
         (* Mirroring may leave deletable leftovers in an unrecognized
            partner or in this net; fall back to plain edge deletion so
            both end as trees. *)
@@ -1236,29 +1247,9 @@ let checkpoint_live ck = Array.copy ck.ck_live
    No-op when the state already matches the checkpoint. *)
 let restore t ck =
   if t.deletions <> ck.ck_deletions || t.del_hash <> ck.ck_del_hash then begin
-    let netlist = Floorplan.netlist t.fp in
-    Array.iter (fun ns -> unregister_net_density t ns) t.nets;
+    init_all_nets t;
     for n = 0 to Array.length t.nets - 1 do
-      init_net_state t n
-    done;
-    for net = 0 to Array.length t.nets - 1 do
-      match (Netlist.net netlist net).Netlist.diff_partner with
-      | Some p when p > net -> recognize_pair t net p
-      | Some _ | None -> ()
-    done;
-    (match t.sta with Some sta -> Sta.refresh sta | None -> ());
-    for n = 0 to Array.length t.nets - 1 do
-      let keep = Hashtbl.create 64 in
-      List.iter (fun eid -> Hashtbl.replace keep eid ()) ck.ck_live.(n);
-      let ns = t.nets.(n) in
-      let rec loop () =
-        match List.find_opt (fun eid -> not (Hashtbl.mem keep eid)) ns.candidates with
-        | Some eid ->
-          delete_cascade t n eid ~mirror:false;
-          loop ()
-        | None -> ()
-      in
-      loop ()
+      delete_outside t n ~keep:ck.ck_live.(n) ~mirror:false
     done;
     t.deletions <- ck.ck_deletions;
     t.del_hash <- ck.ck_del_hash
@@ -1415,12 +1406,7 @@ let rebuild_derived t =
     (fun ns ->
       let g = ns.rg.Routing_graph.graph in
       ns.bridge <- Bridges.bridges g;
-      ns.candidates <-
-        List.rev
-          (Ugraph.fold_edges g
-             (fun acc (e : Ugraph.edge) ->
-               if ns.bridge.(e.Ugraph.id) then acc else e.Ugraph.id :: acc)
-             []);
+      ns.candidates <- candidates_of g ns.bridge;
       ns.rev <- ns.rev + 1;
       register_net_density t ns)
     t.nets;
@@ -1429,10 +1415,7 @@ let rebuild_derived t =
       match Routing_graph.tentative_tree ns.rg with
       | None -> ()
       | Some edges ->
-        ns.tree <- edges;
-        let set = Array.make (Ugraph.n_edges_total ns.rg.Routing_graph.graph) false in
-        List.iter (fun e -> set.(e) <- true) edges;
-        ns.tree_set <- set;
+        set_tree ns edges;
         ns.cl_ff <- current_cl t ns;
         apply_net_timing t ns)
     t.nets;

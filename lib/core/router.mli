@@ -97,15 +97,14 @@ val n_recognized_pairs : t -> int
 
 val initial_route : t -> unit
 
-val route_sequential : ?congestion_weight:float -> ?order:int list -> t -> unit
+val route_sequential : ?order:int list -> t -> unit
 (** Baseline: route nets one at a time, as the sequential timing-driven
     routers the paper compares its concurrent scheme against ([6][7][8]
     in its references).  Each net in [order] (default: the netlist
     order) picks its tree by a congestion-priced Dijkstra — a trunk's
-    cost grows by [congestion_weight] (default 0.5) track-heights per
-    unit of current channel density over its span — and then every
-    other candidate edge of that net is deleted before the next net is
-    considered.  Unlike {!initial_route}, the result depends on the net
+    cost grows by 0.5 track-heights per unit of current channel
+    density over its span — and then every other candidate edge of
+    that net is deleted before the next net is considered.  Unlike {!initial_route}, the result depends on the net
     ordering; recognized differential pairs still mirror. *)
 
 val recover_violations : ?guard:(unit -> unit) -> ?max_passes:int -> t -> phase_report

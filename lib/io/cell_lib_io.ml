@@ -37,10 +37,6 @@ let to_string lib =
     (Cell_lib.cells lib);
   Buffer.contents buf
 
-let write lib ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string lib))
-
 let parse_access ~line = function
   | "top" -> Cell.Top_only
   | "bottom" -> Cell.Bottom_only
@@ -133,9 +129,3 @@ let of_string text =
   match !name with
   | None -> Lineio.fail ~line:1 "missing library name line"
   | Some name -> Cell_lib.make ~name ~cells:(List.rev !cells)
-
-let read path = of_string (Lineio.read_all path)
-
-let of_string_result ?file text = Lineio.protect ?file (fun () -> of_string text)
-
-let read_result path = Lineio.protect ~file:path (fun () -> of_string (Lineio.read_all path))

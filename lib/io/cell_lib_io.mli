@@ -17,16 +17,6 @@
 
 val to_string : Cell_lib.t -> string
 
-val write : Cell_lib.t -> path:string -> unit
-
 val of_string : string -> Cell_lib.t
 (** @raise Lineio.Parse_error on malformed text, [Cell.Malformed] on
     invalid masters. *)
-
-val read : string -> Cell_lib.t
-(** Read from a file path. *)
-
-val of_string_result : ?file:string -> string -> (Cell_lib.t, Bgr_error.t) result
-(** Exception-free variant of {!of_string}; see {!Lineio.protect}. *)
-
-val read_result : string -> (Cell_lib.t, Bgr_error.t) result

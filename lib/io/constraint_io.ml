@@ -16,12 +16,6 @@ let to_string netlist constraints =
     constraints;
   Buffer.contents buf
 
-let write netlist constraints ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string netlist constraints))
-
 (* Resolve a terminal reference to a delay-graph node, using the
    netlist for directions and port roles. *)
 let resolve_node netlist ~line ~role token =
@@ -122,11 +116,3 @@ let of_string ~netlist text =
   List.iter on_line (Lineio.tokenize text);
   close ();
   List.rev !finished
-
-let read ~netlist ~path = of_string ~netlist (Lineio.read_all path)
-
-let of_string_result ?file ~netlist text =
-  Lineio.protect ?file (fun () -> of_string ~netlist text)
-
-let read_result ~netlist ~path =
-  Lineio.protect ~file:path (fun () -> of_string ~netlist (Lineio.read_all path))

@@ -16,17 +16,6 @@
 
 val to_string : Netlist.t -> Path_constraint.t list -> string
 
-val write : Netlist.t -> Path_constraint.t list -> path:string -> unit
-
 val of_string : netlist:Netlist.t -> string -> Path_constraint.t list
 (** @raise Lineio.Parse_error on malformed text or unresolvable
     terminals. *)
-
-val read : netlist:Netlist.t -> path:string -> Path_constraint.t list
-
-val of_string_result :
-  ?file:string -> netlist:Netlist.t -> string -> (Path_constraint.t list, Bgr_error.t) result
-(** Exception-free variant of {!of_string}; see {!Lineio.protect}. *)
-
-val read_result :
-  netlist:Netlist.t -> path:string -> (Path_constraint.t list, Bgr_error.t) result

@@ -20,10 +20,6 @@ let to_string fp =
   done;
   Buffer.contents buf
 
-let write fp ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string fp))
-
 let of_string ~netlist ~dims text =
   let insts = Hashtbl.create 256 in
   Array.iter
@@ -66,11 +62,3 @@ let of_string ~netlist ~dims text =
       ~blockages:(List.rev !blockages) ()
   | None, _ -> Lineio.fail ~line:1 "missing rows line"
   | _, None -> Lineio.fail ~line:1 "missing width line"
-
-let read ~netlist ~dims ~path = of_string ~netlist ~dims (Lineio.read_all path)
-
-let of_string_result ?file ~netlist ~dims text =
-  Lineio.protect ?file (fun () -> of_string ~netlist ~dims text)
-
-let read_result ~netlist ~dims ~path =
-  Lineio.protect ~file:path (fun () -> of_string ~netlist ~dims (Lineio.read_all path))

@@ -13,17 +13,6 @@
 
 val to_string : Floorplan.t -> string
 
-val write : Floorplan.t -> path:string -> unit
-
 val of_string : netlist:Netlist.t -> dims:Dims.t -> string -> Floorplan.t
 (** @raise Lineio.Parse_error on malformed text,
     [Floorplan.Overlap] on illegal geometry. *)
-
-val read : netlist:Netlist.t -> dims:Dims.t -> path:string -> Floorplan.t
-
-val of_string_result :
-  ?file:string -> netlist:Netlist.t -> dims:Dims.t -> string -> (Floorplan.t, Bgr_error.t) result
-(** Exception-free variant of {!of_string}; see {!Lineio.protect}. *)
-
-val read_result :
-  netlist:Netlist.t -> dims:Dims.t -> path:string -> (Floorplan.t, Bgr_error.t) result

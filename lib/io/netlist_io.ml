@@ -37,10 +37,6 @@ let to_string netlist =
     (Netlist.nets netlist);
   Buffer.contents buf
 
-let write netlist ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string netlist))
-
 type ctx = {
   builder : Netlist.builder;
   insts : (string, int) Hashtbl.t;
@@ -155,11 +151,3 @@ let of_string ~libraries text =
   match !ctx with
   | Some c -> Netlist.freeze c.builder
   | None -> assert false
-
-let read ~libraries ~path = of_string ~libraries (Lineio.read_all path)
-
-let of_string_result ?file ~libraries text =
-  Lineio.protect ?file (fun () -> of_string ~libraries text)
-
-let read_result ~libraries ~path =
-  Lineio.protect ~file:path (fun () -> of_string ~libraries (Lineio.read_all path))

@@ -20,16 +20,6 @@ val endpoint_name : Netlist.t -> Netlist.endpoint -> string
 
 val to_string : Netlist.t -> string
 
-val write : Netlist.t -> path:string -> unit
-
 val of_string : libraries:Cell_lib.t list -> string -> Netlist.t
 (** @raise Lineio.Parse_error on malformed text (including an unknown
     library name), [Netlist.Invalid] on structurally bad designs. *)
-
-val read : libraries:Cell_lib.t list -> path:string -> Netlist.t
-
-val of_string_result :
-  ?file:string -> libraries:Cell_lib.t list -> string -> (Netlist.t, Bgr_error.t) result
-(** Exception-free variant of {!of_string}; see {!Lineio.protect}. *)
-
-val read_result : libraries:Cell_lib.t list -> path:string -> (Netlist.t, Bgr_error.t) result

@@ -32,10 +32,6 @@ let to_string router =
   done;
   Buffer.contents buf
 
-let write router ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string router))
-
 let parse ~netlist text =
   let by_name = Hashtbl.create 64 in
   Array.iter

@@ -20,8 +20,6 @@ type desc =
 val to_string : Router.t -> string
 (** Dump every net's current tree. *)
 
-val write : Router.t -> path:string -> unit
-
 val parse : netlist:Netlist.t -> string -> (int * desc list) list
 (** Per-net descriptors, net ids resolved by name, in file order.
     @raise Lineio.Parse_error on malformed text or unknown nets. *)

@@ -141,7 +141,7 @@ let clear_hooks router =
   Router.set_commit_hook router None;
   Router.set_checkpoint_hook router None
 
-let run_hooked ?budget ?channel_algorithm ?on_quality ?(completed = []) ~dir prep router w =
+let run_hooked ?budget ?on_quality ?(completed = []) ~dir prep router w =
   let report =
     Fun.protect
       ~finally:(fun () ->
@@ -153,12 +153,11 @@ let run_hooked ?budget ?channel_algorithm ?on_quality ?(completed = []) ~dir pre
         Router.set_quality_hook router on_quality;
         Router.run ?budget ~completed router)
   in
-  Flow.finish ?channel_algorithm ?on_quality prep router report
+  Flow.finish ?on_quality prep router report
 
 (* --- the persistent entry points ------------------------------------- *)
 
-let route ?options ?timing_driven:(td = true) ?channel_algorithm ?budget ?on_quality ~dir
-    ~design_text input =
+let route ?options ?timing_driven:(td = true) ?budget ?on_quality ~dir ~design_text input =
   let options = match options with Some o -> o | None -> Router.default_options in
   ensure_dir dir;
   write_file_atomic (dir / design_file) design_text;
@@ -168,7 +167,7 @@ let route ?options ?timing_driven:(td = true) ?channel_algorithm ?budget ?on_qua
   (try Sys.remove (dir / snapshot_file) with Sys_error _ -> ());
   let prep, router = Flow.prepare ~options ~timing_driven:td input in
   let w = Journal.create ~path:(dir / journal_file) in
-  run_hooked ?budget ?channel_algorithm ?on_quality ~dir prep router w
+  run_hooked ?budget ?on_quality ~dir prep router w
 
 type resume_report = {
   rr_outcome : Flow.outcome;
@@ -188,7 +187,7 @@ let read_file path =
 
 let internal fmt = Bgr_error.raise_error ~phase:"resume" Bgr_error.Internal fmt
 
-let resume ?(domains = 0) ?channel_algorithm ?budget ?on_quality ~dir () =
+let resume ?(domains = 0) ?budget ?on_quality ~dir () =
   let* manifest_text = read_file (dir / manifest_file) in
   let* timing_driven, options =
     parse_manifest ~file:(dir / manifest_file) manifest_text
@@ -285,7 +284,7 @@ let resume ?(domains = 0) ?channel_algorithm ?budget ?on_quality ~dir () =
         else Journal.reopen ~path:journal_path ~keep_bytes
       in
       let outcome =
-        run_hooked ?budget ?channel_algorithm ?on_quality ~completed ~dir prep router w
+        run_hooked ?budget ?on_quality ~completed ~dir prep router w
       in
       { rr_outcome = outcome;
         rr_replayed = replayed;

@@ -36,7 +36,6 @@ val snapshot_file : string
 val route :
   ?options:Router.options ->
   ?timing_driven:bool ->
-  ?channel_algorithm:Flow.channel_algorithm ->
   ?budget:Budget.t ->
   ?on_quality:(Router.quality_sample -> unit) ->
   dir:string ->
@@ -46,7 +45,10 @@ val route :
 (** Run the full flow with persistence: create [dir] (if needed), store
     [design_text] and the manifest, journal every deletion and snapshot
     every phase boundary.  The routing result is bit-identical to
-    {!Flow.run} with the same options.  [on_quality] is the quality
+    {!Flow.run} with the same options.  Metrology always uses the
+    default left-edge channel router, which the manifest therefore
+    need not record: a resume measures like the run it continues.
+    [on_quality] is the quality
     hook of {!Flow.run} — a run recorded into a [.bgrq] log alongside
     the journal keeps the identical deletion hash. *)
 
@@ -66,7 +68,6 @@ type resume_report = {
 
 val resume :
   ?domains:int ->
-  ?channel_algorithm:Flow.channel_algorithm ->
   ?budget:Budget.t ->
   ?on_quality:(Router.quality_sample -> unit) ->
   dir:string ->

@@ -233,11 +233,6 @@ let ablation_a6 (case : Suite.case) =
     [ measure "constrained left-edge + doglegs" left_edge.Flow.o_measurement;
       measure "greedy (Rivest-Fiduccia style)" greedy.Flow.o_measurement ]
 
-(* A7 — Sec. 4.2's motivation for multi-pitch wires, as an electrical
-   what-if: the same routed clock tree analyzed at several effective
-   widths.  Widening scales resistance down (and capacitance up), so
-   the resistive skew across the fan-out shrinks while the lumped load
-   grows — exactly the trade the paper spends feedthrough columns on. *)
 let ablation_a8 (case : Suite.case) =
   let plain = Flow.run case.Suite.input in
   let biased = Flow.run ~channel_algorithm:Flow.Left_edge_biased case.Suite.input in
@@ -248,6 +243,11 @@ let ablation_a8 (case : Suite.case) =
     [ measure "left-edge, pure left-edge order" plain.Flow.o_measurement;
       measure "left-edge + pin-side bias (extension)" biased.Flow.o_measurement ]
 
+(* A7 — Sec. 4.2's motivation for multi-pitch wires, as an electrical
+   what-if: the same routed clock tree analyzed at several effective
+   widths.  Widening scales resistance down (and capacitance up), so
+   the resistive skew across the fan-out shrinks while the lumped load
+   grows — exactly the trade the paper spends feedthrough columns on. *)
 let ablation_a7 () =
   let case = Suite.make_case ~circuit:"C1" ~placement:Placement.P1 in
   let netlist = case.Suite.input.Flow.netlist in

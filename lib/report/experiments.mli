@@ -1,6 +1,6 @@
 (** The experiment harness regenerating every table and figure of the
-    paper's evaluation (DESIGN.md Sec. 4), shared by `bench/main.exe`
-    and `bin/bgr_run.exe`.
+    paper's evaluation (DESIGN.md Sec. 4), run by `bgr_run tables`,
+    `bgr_run density` and `bgr_run ablation aN`.
 
     Absolute numbers differ from the paper (the circuits are synthetic
     stand-ins, the machine is not a SPARCstation 2); the {e shape} —

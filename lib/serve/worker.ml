@@ -427,8 +427,13 @@ let kill_reason_flight_code = function
   | Signaled _ -> 4
   | Oom -> 5
 
+(* The supervisor polls the pipe and [canceled] this often, and after
+   a watchdog SIGQUIT waits this long for the worker's [Dump] frame. *)
+let poll_ms = 50.
+let dump_grace_ms = 500.
+
 let supervise ?(heartbeat_timeout_ms = 10_000.) ?(hard_deadline_ms = infinity)
-    ?(poll_ms = 50.) ?(dump_grace_ms = 500.) ?(canceled = fun () -> false)
+    ?(canceled = fun () -> false)
     ?(on_progress = fun (_ : progress) -> ()) ?(on_spawn = fun (_ : int) -> ())
     ?(on_obs = fun (_ : string) -> ()) ?(on_dump = fun (_ : string) -> ()) ~log ~argv () =
   match Fault.check ~phase:"serve" "serve.worker.spawn" with
@@ -489,7 +494,7 @@ let supervise ?(heartbeat_timeout_ms = 10_000.) ?(hard_deadline_ms = infinity)
           | `Reason _ ->
             (try Unix.kill pid Sys.sigquit with Unix.Unix_error _ -> ());
             let deadline = Unix.gettimeofday () +. (dump_grace_ms /. 1000.) in
-            let waiting = ref (dump_grace_ms > 0.) in
+            let waiting = ref true in
             while !waiting && !dumped = None && Unix.gettimeofday () < deadline do
               match Unix.select [ r ] [] [] 0.02 with
               | [], _, _ -> ()

@@ -173,8 +173,6 @@ val watchdog_verdict :
 val supervise :
   ?heartbeat_timeout_ms:float ->
   ?hard_deadline_ms:float ->
-  ?poll_ms:float ->
-  ?dump_grace_ms:float ->
   ?canceled:(unit -> bool) ->
   ?on_progress:(progress -> unit) ->
   ?on_spawn:(int -> unit) ->
@@ -188,14 +186,13 @@ val supervise :
     inherited) and supervise it to completion; [Ok json] is the RESULT
     json from its [Done] frame.  [heartbeat_timeout_ms] (default
     10 000) arms the hang watchdog; [hard_deadline_ms] (default none)
-    the wall ceiling; [canceled] is polled every [poll_ms] (default
-    50).  [on_spawn] receives the child pid (the cancel path and the
-    chaos tests need it); [on_progress] each heartbeat; [on_obs] the
-    [Obs_summary] json when the worker sends one; [on_dump] the path
-    from a [Dump] frame.  A watchdog kill first sends SIGQUIT — the
-    dump request — and drains the pipe for up to [dump_grace_ms]
-    (default 500; 0 disables) waiting for the worker's [Dump] frame
-    before the SIGKILL, so the flight record survives the execution.
+    the wall ceiling; [canceled] is polled every 50 ms.  [on_spawn]
+    receives the child pid (the cancel path and the chaos tests need
+    it); [on_progress] each heartbeat; [on_obs] the [Obs_summary] json
+    when the worker sends one; [on_dump] the path from a [Dump] frame.
+    A watchdog kill first sends SIGQUIT — the dump request — and
+    drains the pipe for up to 500 ms waiting for the worker's [Dump]
+    frame before the SIGKILL, so the flight record survives the execution.
     Protocol-violation kills skip the grace: that pipe can no longer
     be trusted.  Trips ["serve.worker.spawn"] before forking,
     surfacing as [Spawn_error].  Never raises on child misbehavior:

@@ -97,7 +97,11 @@ let vertex_of_exn table node =
   | Some v -> v
   | None -> invalid_arg "Delay_graph: missing vertex"
 
-let build ?(port_tf = 3.0) ?(port_td = 0.5) ?(port_load_ff = 1.5) netlist =
+let port_tf = 3.0
+let port_td = 0.5
+let port_load_ff = 1.5
+
+let build netlist =
   let dag = Dag.create ~vertex_hint:256 () in
   let vertex_of = Hashtbl.create 256 in
   let nodes = ref [] in

@@ -22,15 +22,14 @@ type node =
 
 type t
 
-val build :
-  ?port_tf:float ->
-  ?port_td:float ->
-  ?port_load_ff:float ->
-  Netlist.t ->
-  t
-(** [port_tf]/[port_td] are the drive factors assumed for input ports
-    (defaults 3.0 ps/fF and 0.5 ps/fF), [port_load_ff] the input
-    capacitance presented by an output port (default 1.5 fF). *)
+val port_td : float
+(** Wire-delay drive factor assumed for input ports: 0.5 ps/fF (the
+    load factor is 3.0 ps/fF). *)
+
+val port_load_ff : float
+(** Input capacitance presented by an output port: 1.5 fF. *)
+
+val build : Netlist.t -> t
 
 val netlist : t -> Netlist.t
 

@@ -86,12 +86,23 @@ let test_signoff () =
     (fun needle -> check_bool (needle ^ " section present") true (contains needle))
     [ "Sign-off summary"; "verify:"; "route quality"; "slack profile" ]
 
+(* The paper drops wire resistance because bipolar wires are wide; the
+   Elmore delay of every routed C1P1 tree stays within a few percent of
+   the lumped CL*Td delay. *)
+let test_rc_vs_lumped () =
+  let case = Suite.make_case ~circuit:"C1" ~placement:Placement.P1 in
+  let ratio = Experiments.rc_vs_lumped_worst (Flow.run case.Suite.input) in
+  check_bool "ratio is finite" true (Float.is_finite ratio);
+  check_bool (Printf.sprintf "ratio %.3f within [1.0, 1.2]" ratio) true
+    (ratio >= 1.0 && ratio <= 1.2)
+
 let suite =
   [ Alcotest.test_case "floorplan view shape" `Quick test_floorplan_view_shape;
     Alcotest.test_case "sign-off report" `Quick test_signoff;
     Alcotest.test_case "slack profile" `Quick test_slack_profile;
     Alcotest.test_case "floorplan view with tracks" `Quick test_floorplan_view_tracks;
     Alcotest.test_case "channel view" `Quick test_channel_view;
-    Alcotest.test_case "route statistics" `Quick test_route_stats ]
+    Alcotest.test_case "route statistics" `Quick test_route_stats;
+    Alcotest.test_case "Elmore over lumped wire delay on C1P1" `Quick test_rc_vs_lumped ]
 
 let () = Alcotest.run "report" [ ("report", suite) ]

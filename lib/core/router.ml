@@ -1377,11 +1377,6 @@ let net_length_um t n =
   let ns = t.nets.(n) in
   Routing_graph.geometric_length_um ns.rg ~edge_ids:ns.tree
 
-let total_length_mm t =
-  let total = ref 0.0 in
-  Array.iteri (fun n _ -> total := !total +. net_length_um t n) t.nets;
-  Dims.mm_of_um !total
-
 let wire_caps t = Array.map (fun ns -> ns.cl_ff) t.nets
 
 (* --- audit/repair access --------------------------------------------- *)

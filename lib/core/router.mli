@@ -269,8 +269,6 @@ val routing_graph : t -> int -> Routing_graph.t
 
 val net_length_um : t -> int -> float
 
-val total_length_mm : t -> float
-
 val wire_caps : t -> float array
 (** Current [CL(n)] per net, fF. *)
 

@@ -21,6 +21,5 @@ let res_kohm_per_um_at t ~width = t.res_ohm_per_um /. width /. 1000.0
 let h_um t n = float_of_int n *. t.pitch_um
 let v_um t ~rows = float_of_int rows *. t.row_height_um
 let wire_cap t ~um = um *. t.cap_per_um
-let wire_res_kohm t ~um ~pitch = um *. t.res_ohm_per_um /. float_of_int pitch /. 1000.0
 let mm_of_um um = um /. 1000.0
 let mm2_of_um2 um2 = um2 /. 1.0e6

@@ -36,10 +36,6 @@ val cap_per_um_at : t -> width:float -> float
 val res_kohm_per_um_at : t -> width:float -> float
 (** Resistance per micrometre (kOhm) at the given width. *)
 
-val wire_res_kohm : t -> um:float -> pitch:int -> float
-(** Resistance (kOhm, so that kOhm x fF = ps) of [um] micrometres of
-    wire at [pitch] times the base width. *)
-
 val h_um : t -> int -> float
 (** Physical length of a horizontal span of [n] pitches. *)
 

@@ -23,6 +23,3 @@ let union a b =
 
 let mem t ~x ~y = t.x_lo <= x && x <= t.x_hi && t.y_lo <= y && y <= t.y_hi
 let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "[%d..%d]x[%d..%d]" t.x_lo t.x_hi t.y_lo t.y_hi

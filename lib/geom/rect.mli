@@ -32,5 +32,3 @@ val union : t -> t -> t
 val mem : t -> x:int -> y:int -> bool
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

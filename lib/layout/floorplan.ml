@@ -246,12 +246,3 @@ let chip_area_mm2 t ~channel_tracks =
   let h = chip_height_um t ~channel_tracks in
   let w = float_of_int t.width *. t.dims.Dims.pitch_um in
   Dims.mm2_of_um2 (h *. w)
-
-let pp_row t ppf r =
-  Format.fprintf ppf "row %d:" r;
-  Array.iter
-    (fun (p : placed) ->
-      let i = Netlist.instance t.netlist p.inst in
-      Format.fprintf ppf " %s@%d" i.Netlist.inst_name p.x)
-    t.row_cells.(r);
-  Array.iter (fun s -> Format.fprintf ppf " feed@%d(f%d)" s.slot_x s.width_flag) t.row_slots.(r)

@@ -126,5 +126,3 @@ val channel_mid_y_um : t -> channel_tracks:int array -> int -> float
     this degenerates to pure row stacking. *)
 
 val chip_area_mm2 : t -> channel_tracks:int array -> float
-
-val pp_row : t -> Format.formatter -> int -> unit

@@ -87,30 +87,6 @@ let assert_orchestrator ~what =
       what
 
 (* ------------------------------------------------------------------ *)
-(* JSON helpers (shared by both sinks and the metrics JSON summary)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-(* ------------------------------------------------------------------ *)
 (* Tracer                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -120,7 +96,7 @@ module Trace = struct
   let attr_to_string = function
     | Str s -> s
     | Int i -> string_of_int i
-    | Float f -> json_float f
+    | Float f -> Qjson.to_string (Qjson.num f)
     | Bool b -> string_of_bool b
 
   type span = {
@@ -254,29 +230,31 @@ module Trace = struct
 
   (* ---- event emission ---- *)
 
-  let attr_json (k, v) =
-    Printf.sprintf "\"%s\":%s" (json_escape k)
-      (match v with
-      | Str s -> "\"" ^ json_escape s ^ "\""
-      | Int i -> string_of_int i
-      | Float f -> json_float f
-      | Bool b -> string_of_bool b)
+  (* The fixed fields keep their printf templates (ts/dur at %.3f);
+     names and attributes go through Qjson. *)
+  let json_str s = Qjson.to_string (Qjson.Str s)
+
+  let attr_json = function
+    | Str s -> Qjson.Str s
+    | Int i -> Qjson.int i
+    | Float f -> Qjson.num f
+    | Bool b -> Qjson.Bool b
 
   let args_json attrs =
     match attrs with
     | [] -> ""
     | attrs ->
-        Printf.sprintf ",\"args\":{%s}" (String.concat "," (List.map attr_json attrs))
+        ",\"args\":" ^ Qjson.to_string (Qjson.Obj (List.map (fun (k, v) -> (k, attr_json v)) attrs))
 
   let chrome_event ~ph ~extra sp =
     Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"bgr\",\"ph\":\"%s\",\"pid\":%d,\"tid\":1,\"ts\":%.3f%s%s}"
-      (json_escape sp.sp_name) ph sp.sp_pid sp.sp_start_us extra (args_json sp.sp_attrs)
+      "{\"name\":%s,\"cat\":\"bgr\",\"ph\":\"%s\",\"pid\":%d,\"tid\":1,\"ts\":%.3f%s%s}"
+      (json_str sp.sp_name) ph sp.sp_pid sp.sp_start_us extra (args_json sp.sp_attrs)
 
   let jsonl_line sp =
     Printf.sprintf
-      "{\"name\":\"%s\",\"start_us\":%.3f,\"dur_us\":%.3f,\"depth\":%d,\"id\":%d,\"parent\":%d,\"pid\":%d%s}\n"
-      (json_escape sp.sp_name) sp.sp_start_us sp.sp_dur_us sp.sp_depth sp.sp_id
+      "{\"name\":%s,\"start_us\":%.3f,\"dur_us\":%.3f,\"depth\":%d,\"id\":%d,\"parent\":%d,\"pid\":%d%s}\n"
+      (json_str sp.sp_name) sp.sp_start_us sp.sp_dur_us sp.sp_depth sp.sp_id
       sp.sp_parent sp.sp_pid
       (args_json sp.sp_attrs)
 
@@ -580,6 +558,14 @@ module Metrics = struct
     in
     match pairs with [] -> "" | pairs -> "{" ^ String.concat "," pairs ^ "}"
 
+  (* Exact like the JSON dump; non-finite values in the exposition
+     format's spelling. *)
+  let prom_value v =
+    if Float.is_finite v then Qjson.to_string (Qjson.Num v)
+    else if Float.is_nan v then "NaN"
+    else if v > 0.0 then "+Inf"
+    else "-Inf"
+
   (* first-registration order *)
   let families () = List.rev !order_rev |> List.map (Hashtbl.find registry)
 
@@ -599,7 +585,7 @@ module Metrics = struct
             | Counter | Gauge ->
                 Buffer.add_string b
                   (Printf.sprintf "%s%s %s\n" f.f_name (label_block s.se_labels)
-                     (json_float s.se_value))
+                     (prom_value s.se_value))
             | Histogram bounds ->
                 let cum = ref 0 in
                 Array.iteri
@@ -607,7 +593,7 @@ module Metrics = struct
                     cum := !cum + s.se_buckets.(i);
                     Buffer.add_string b
                       (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                         (label_block ~extra:(Printf.sprintf "le=\"%s\"" (json_float le)) s.se_labels)
+                         (label_block ~extra:(Printf.sprintf "le=\"%s\"" (prom_value le)) s.se_labels)
                          !cum))
                   bounds;
                 Buffer.add_string b
@@ -616,336 +602,164 @@ module Metrics = struct
                      s.se_count);
                 Buffer.add_string b
                   (Printf.sprintf "%s_sum%s %s\n" f.f_name (label_block s.se_labels)
-                     (json_float s.se_value));
+                     (prom_value s.se_value));
                 Buffer.add_string b
                   (Printf.sprintf "%s_count%s %d\n" f.f_name (label_block s.se_labels) s.se_count))
           rows)
       (families ());
     Buffer.contents b
 
+  let series_json f s =
+    let labels = Qjson.Obj (List.map (fun (k, v) -> (k, Qjson.Str v)) s.se_labels) in
+    match f.f_kind with
+    | Counter | Gauge -> Qjson.Obj [ ("labels", labels); ("value", Qjson.num s.se_value) ]
+    | Histogram bounds ->
+        let n = Array.length bounds in
+        Qjson.Obj
+          [ ("labels", labels);
+            ("count", Qjson.int s.se_count);
+            ("sum", Qjson.num s.se_value);
+            ( "buckets",
+              Qjson.Arr
+                (List.init n (fun i -> Qjson.Arr [ Qjson.num bounds.(i); Qjson.int s.se_buckets.(i) ]))
+            );
+            ("overflow", Qjson.int s.se_buckets.(n)) ]
+
   let render_json () =
     assert_orchestrator ~what:"Metrics.render_json";
     locked @@ fun () ->
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"metrics\":[";
-    let first_f = ref true in
-    List.iter
-      (fun f ->
-        if !first_f then first_f := false else Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"series\":[" (json_escape f.f_name)
-             (kind_name f.f_kind));
-        let first_s = ref true in
-        List.iter
-          (fun s ->
-            if !first_s then first_s := false else Buffer.add_char b ',';
-            let labels =
-              "{"
-              ^ String.concat ","
-                  (List.map
-                     (fun (k, v) ->
-                       Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                     s.se_labels)
-              ^ "}"
-            in
-            match f.f_kind with
-            | Counter | Gauge ->
-                Buffer.add_string b
-                  (Printf.sprintf "{\"labels\":%s,\"value\":%s}" labels (json_float s.se_value))
-            | Histogram bounds ->
-                let buckets =
-                  String.concat ","
-                    (List.init (Array.length bounds) (fun i ->
-                         Printf.sprintf "[%s,%d]" (json_float bounds.(i)) s.se_buckets.(i)))
-                in
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s],\"overflow\":%d}"
-                     labels s.se_count (json_float s.se_value) buckets
-                     s.se_buckets.(Array.length bounds)))
-          (List.rev f.f_series_rev);
-        Buffer.add_string b "]}")
-      (families ());
-    Buffer.add_string b "]}";
-    Buffer.contents b
-
-  (* ---- snapshot codec (`bgr-metrics 1`) ----
-
-     A line-oriented dump of the whole registry, written by a worker
-     process just before it exits and merged back into the supervising
-     daemon's registry (counters/histograms add, gauges last-write).
-     Values use %.17g so a snapshot → merge round trip is exact. *)
-
-  let snap_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string b "\\\\"
-        | ',' -> Buffer.add_string b "\\c"
-        | '=' -> Buffer.add_string b "\\e"
-        | ' ' -> Buffer.add_string b "\\s"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let snap_unescape s =
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i < n then
-        if s.[i] = '\\' && i + 1 < n then begin
-          (match s.[i + 1] with
-          | '\\' -> Buffer.add_char b '\\'
-          | 'c' -> Buffer.add_char b ','
-          | 'e' -> Buffer.add_char b '='
-          | 's' -> Buffer.add_char b ' '
-          | 'n' -> Buffer.add_char b '\n'
-          | c -> Buffer.add_char b c);
-          go (i + 2)
-        end
-        else begin
-          Buffer.add_char b s.[i];
-          go (i + 1)
-        end
+    let family_json f =
+      Qjson.Obj
+        [ ("name", Qjson.Str f.f_name);
+          ("kind", Qjson.Str (kind_name f.f_kind));
+          ("help", Qjson.Str f.f_help);
+          ("label_names", Qjson.Arr (List.map (fun l -> Qjson.Str l) f.f_labelnames));
+          ("series", Qjson.Arr (List.rev_map (series_json f) f.f_series_rev)) ]
     in
-    go 0;
-    Buffer.contents b
+    Qjson.to_string (Qjson.Obj [ ("metrics", Qjson.Arr (List.map family_json (families ()))) ])
 
-  let snap_float v = Printf.sprintf "%.17g" v
+  (* ---- merging another process's [render_json] dump ----
 
-  let snap_labelblock labels =
-    match labels with
-    | [] -> "-"
-    | labels ->
-        String.concat ","
-          (List.map (fun (k, v) -> snap_escape k ^ "=" ^ snap_escape v) labels)
+     A worker process writes its registry with [render_json] just
+     before it exits; the supervising daemon merges it back here
+     (counters and histogram tallies add, gauges take the last write).
+     Input from the other process is checked like any untrusted file:
+     a family or series that does not decode, or disagrees with the
+     registry on kind, label names or bucket bounds, is skipped with a
+     warning. *)
 
-  let snapshot () =
-    assert_orchestrator ~what:"Metrics.snapshot";
-    locked @@ fun () ->
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "bgr-metrics 1\n";
-    List.iter
-      (fun f ->
-        Buffer.add_string b
-          (Printf.sprintf "family %s %s\n" (kind_name f.f_kind) f.f_name);
-        if f.f_help <> "" then
-          Buffer.add_string b ("help " ^ snap_escape f.f_help ^ "\n");
-        if f.f_labelnames <> [] then
-          Buffer.add_string b
-            ("labels " ^ String.concat "," (List.map snap_escape f.f_labelnames) ^ "\n");
-        (match f.f_kind with
-        | Histogram bounds ->
-            Buffer.add_string b
-              ("buckets "
-              ^ String.concat "," (Array.to_list (Array.map snap_float bounds))
-              ^ "\n")
-        | Counter | Gauge -> ());
-        List.iter
-          (fun s ->
-            match f.f_kind with
-            | Counter | Gauge ->
-                Buffer.add_string b
-                  (Printf.sprintf "series %s %s\n" (snap_labelblock s.se_labels)
-                     (snap_float s.se_value))
-            | Histogram _ ->
-                Buffer.add_string b
-                  (Printf.sprintf "hseries %s %d %s %s\n" (snap_labelblock s.se_labels)
-                     s.se_count (snap_float s.se_value)
-                     (String.concat " "
-                        (Array.to_list (Array.map string_of_int s.se_buckets)))))
-          (List.rev f.f_series_rev))
-      (families ());
-    Buffer.add_string b "end\n";
-    Buffer.contents b
+  let all_some l = if List.mem None l then None else Some (List.filter_map Fun.id l)
 
-  (* Parsed form of one family block of a snapshot. *)
-  type snap_family = {
-    sn_kind : string;
-    sn_name : string;
-    mutable sn_help : string;
-    mutable sn_labels : string list;
-    mutable sn_buckets : float array;
-    mutable sn_series_rev : ((string * string) list * float * int * int array) list;
-        (* labels, value/sum, count, buckets *)
-  }
+  let field k conv j = Option.bind (Qjson.member k j) conv
 
-  let parse_labelblock s =
-    if s = "-" then Some []
-    else
-      let pairs = String.split_on_char ',' s in
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | p :: rest -> (
-            (* split on the first unescaped '=' *)
-            let n = String.length p in
-            let rec find i =
-              if i >= n then None
-              else if p.[i] = '\\' then find (i + 2)
-              else if p.[i] = '=' then Some i
-              else find (i + 1)
-            in
-            match find 0 with
-            | None -> None
-            | Some i ->
-                go
-                  ((snap_unescape (String.sub p 0 i),
-                    snap_unescape (String.sub p (i + 1) (n - i - 1)))
-                  :: acc)
-                  rest)
-      in
-      go [] pairs
+  let strings_of l = Option.bind (Qjson.to_list l) (fun l -> all_some (List.map Qjson.to_str l))
 
-  let merge_snapshot ?(source = "worker") text =
-    assert_orchestrator ~what:"Metrics.merge_snapshot";
+  let labels_of j =
+    Option.bind (field "labels" Qjson.to_obj j) (fun kvs ->
+        all_some (List.map (fun (k, v) -> Option.map (fun s -> (k, s)) (Qjson.to_str v)) kvs))
+
+  (* [(bound, count)] per finite bucket *)
+  let buckets_of j =
+    let bucket b =
+      match Qjson.to_list b with
+      | Some [ le; c ] -> (
+          match (Qjson.to_float le, Qjson.to_int c) with
+          | Some le, Some c -> Some (le, c)
+          | _ -> None)
+      | _ -> None
+    in
+    Option.bind (field "buckets" Qjson.to_list j) (fun bs -> all_some (List.map bucket bs))
+
+  (* Add one decoded series into [f]; false when it does not fit. *)
+  let merge_series f j =
+    match labels_of j with
+    | Some labels when List.sort compare (List.map fst labels) = f.f_labelnames -> (
+        match f.f_kind with
+        | Counter | Gauge -> (
+            match field "value" Qjson.to_float j with
+            | None -> false
+            | Some v ->
+                locked (fun () ->
+                    let s = get_series f labels in
+                    s.se_value <- (if f.f_kind = Gauge then v else s.se_value +. v));
+                true)
+        | Histogram bounds -> (
+            match
+              ( field "count" Qjson.to_int j,
+                field "sum" Qjson.to_float j,
+                buckets_of j,
+                field "overflow" Qjson.to_int j )
+            with
+            | Some count, Some sum, Some bs, Some overflow
+              when Array.of_list (List.map fst bs) = bounds ->
+                locked (fun () ->
+                    let s = get_series f labels in
+                    List.iteri (fun i (_, c) -> s.se_buckets.(i) <- s.se_buckets.(i) + c) bs;
+                    let n = Array.length bounds in
+                    s.se_buckets.(n) <- s.se_buckets.(n) + overflow;
+                    s.se_value <- s.se_value +. sum;
+                    s.se_count <- s.se_count + count);
+                true
+            | _ -> false))
+    | _ -> false
+
+  let merge_json ?(source = "worker") text =
+    assert_orchestrator ~what:"Metrics.merge_json";
     let bad fmt = Printf.ksprintf (fun m -> warn "metrics merge (%s): %s" source m) fmt in
-    let lines = String.split_on_char '\n' text in
-    match lines with
-    | first :: rest when String.trim first = "bgr-metrics 1" ->
-        let fams_rev = ref [] in
-        let cur : snap_family option ref = ref None in
-        let flush () =
-          match !cur with
+    let merge_family j =
+      match
+        ( field "name" Qjson.to_str j,
+          field "kind" Qjson.to_str j,
+          field "label_names" strings_of j,
+          field "series" Qjson.to_list j )
+      with
+      | Some name, Some kind, Some labels, Some series -> (
+          let help = Option.value (field "help" Qjson.to_str j) ~default:"" in
+          let family () =
+            match (kind, series) with
+            | "counter", _ -> Some (counter ~help ~labels name)
+            | "gauge", _ -> Some (gauge ~help ~labels name)
+            | "histogram", [] -> None
+            | "histogram", first :: _ -> (
+                (* bounds travel with each series; the first fixes the layout *)
+                match buckets_of first with
+                | Some bs ->
+                    Some (histogram ~help ~labels ~buckets:(Array.of_list (List.map fst bs)) name)
+                | None ->
+                    bad "unparsable bucket bounds for %s" name;
+                    None)
+            | k, _ ->
+                bad "unknown family kind %S for %s" k name;
+                None
+          in
+          match family () with
+          | exception Bgr_error.Error e ->
+              bad "family %s incompatible with registry: %s" name e.Bgr_error.message;
+              0
+          | None -> 0
           | Some f ->
-              fams_rev := f :: !fams_rev;
-              cur := None
-          | None -> ()
-        in
-        let ok = ref true in
-        List.iter
-          (fun line ->
-            if !ok && String.trim line <> "" && String.trim line <> "end" then
-              let words = String.split_on_char ' ' line in
-              match (words, !cur) with
-              | "family" :: kind :: name :: [], _ ->
-                  flush ();
-                  cur :=
-                    Some
-                      {
-                        sn_kind = kind;
-                        sn_name = name;
-                        sn_help = "";
-                        sn_labels = [];
-                        sn_buckets = [||];
-                        sn_series_rev = [];
-                      }
-              | "help" :: _, Some f ->
-                  f.sn_help <-
-                    snap_unescape (String.sub line 5 (String.length line - 5))
-              | [ "labels"; ls ], Some f ->
-                  f.sn_labels <- List.map snap_unescape (String.split_on_char ',' ls)
-              | [ "buckets"; bs ], Some f -> (
-                  let floats =
-                    List.fold_left
-                      (fun acc x ->
-                        match (acc, float_of_string_opt x) with
-                        | Some acc, Some v -> Some (v :: acc)
-                        | _ -> None)
-                      (Some []) (String.split_on_char ',' bs)
-                  in
-                  match floats with
-                  | Some fs -> f.sn_buckets <- Array.of_list (List.rev fs)
-                  | None ->
-                      bad "unparsable bucket bounds for %s" f.sn_name;
-                      ok := false)
-              | [ "series"; lb; v ], Some f -> (
-                  match (parse_labelblock lb, float_of_string_opt v) with
-                  | Some labels, Some v ->
-                      f.sn_series_rev <- (labels, v, 0, [||]) :: f.sn_series_rev
-                  | _ ->
-                      bad "unparsable series line for %s" f.sn_name;
-                      ok := false)
-              | "hseries" :: lb :: count :: sum :: buckets, Some f -> (
-                  let bk =
-                    List.fold_left
-                      (fun acc x ->
-                        match (acc, int_of_string_opt x) with
-                        | Some acc, Some v -> Some (v :: acc)
-                        | _ -> None)
-                      (Some []) buckets
-                  in
-                  match
-                    (parse_labelblock lb, int_of_string_opt count, float_of_string_opt sum, bk)
-                  with
-                  | Some labels, Some c, Some s, Some bk ->
-                      f.sn_series_rev <-
-                        (labels, s, c, Array.of_list (List.rev bk)) :: f.sn_series_rev
-                  | _ ->
-                      bad "unparsable hseries line for %s" f.sn_name;
-                      ok := false)
-              | _ ->
-                  bad "unrecognized line %S" line;
-                  ok := false)
-          rest;
-        flush ();
-        if not !ok then 0
-        else begin
-          let merged = ref 0 in
-          List.iter
-            (fun sn ->
-              let fam =
-                try
-                  match sn.sn_kind with
-                  | "counter" ->
-                      Some (counter ~help:sn.sn_help ~labels:sn.sn_labels sn.sn_name)
-                  | "gauge" ->
-                      Some (gauge ~help:sn.sn_help ~labels:sn.sn_labels sn.sn_name)
-                  | "histogram" ->
-                      Some
-                        (histogram ~help:sn.sn_help ~labels:sn.sn_labels
-                           ~buckets:sn.sn_buckets sn.sn_name)
-                  | k ->
-                      bad "unknown family kind %S for %s" k sn.sn_name;
-                      None
-                with Bgr_error.Error e ->
-                  bad "family %s incompatible with registry: %s" sn.sn_name
-                    e.Bgr_error.message;
-                  None
-              in
-              match fam with
-              | None -> ()
-              | Some f ->
-                  List.iter
-                    (fun (labels, v, count, bk) ->
-                      let applied =
-                        locked @@ fun () ->
-                        match
-                          if List.sort compare (List.map fst labels) <> f.f_labelnames
-                          then None
-                          else Some (get_series f labels)
-                        with
-                        | None -> false
-                        | Some s -> (
-                            match f.f_kind with
-                            | Counter ->
-                                s.se_value <- s.se_value +. v;
-                                true
-                            | Gauge ->
-                                s.se_value <- v;
-                                true
-                            | Histogram _ ->
-                                if Array.length bk <> Array.length s.se_buckets then
-                                  false
-                                else begin
-                                  Array.iteri
-                                    (fun i c -> s.se_buckets.(i) <- s.se_buckets.(i) + c)
-                                    bk;
-                                  s.se_value <- s.se_value +. v;
-                                  s.se_count <- s.se_count + count;
-                                  true
-                                end)
-                      in
-                      if applied then incr merged
-                      else bad "series of %s skipped (label or bucket mismatch)" sn.sn_name)
-                    (List.rev sn.sn_series_rev))
-            (List.rev !fams_rev);
-          !merged
-        end
-    | _ ->
-        bad "missing bgr-metrics 1 header";
+              List.fold_left
+                (fun n sj ->
+                  if merge_series f sj then n + 1
+                  else begin
+                    bad "series of %s skipped (unparsable, or label or bucket mismatch)" name;
+                    n
+                  end)
+                0 series)
+      | _ ->
+          bad "malformed family entry skipped";
+          0
+    in
+    match Qjson.parse text with
+    | Error m ->
+        bad "%s" m;
         0
+    | Ok j -> (
+        match field "metrics" Qjson.to_list j with
+        | None ->
+            bad "no metrics array";
+            0
+        | Some families -> List.fold_left (fun n j -> n + merge_family j) 0 families)
 end
 
 let reset () =

@@ -212,21 +212,19 @@ module Metrics : sig
       runs that never exercise a subsystem. *)
 
   val render_json : unit -> string
-  (** The whole registry as one compact JSON object (single line),
-      suitable for embedding in benchmark trajectory files. *)
+  (** The whole registry as one compact JSON object (single line):
+      [{"metrics":[{"name","kind","help","label_names","series"}]}],
+      numbers exact (non-finite ones as [null]).  The same document
+      answers [bgr_serve stats], feeds the benchmark payloads, and is
+      the worker's metrics dump read back by {!merge_json} (schema in
+      docs/FORMATS.md). *)
 
-  val snapshot : unit -> string
-  (** The whole registry in the line-oriented [bgr-metrics 1] snapshot
-      format (see docs/FORMATS.md): every family with its kind, help,
-      label names and bucket bounds, then one line per live series.
-      Written by a worker just before exit; exact under
-      {!merge_snapshot} (values carry full float precision). *)
-
-  val merge_snapshot : ?source:string -> string -> int
-  (** Merge a [bgr-metrics 1] snapshot into this registry: counter
+  val merge_json : ?source:string -> string -> int
+  (** Merge a {!render_json} document into this registry: counter
       series and histogram buckets/sums/counts {e add}, gauges take the
-      snapshot's value, unknown families are registered on the fly.
-      Returns the number of series merged.  Never raises: malformed
-      input, kind/label/bucket mismatches degrade to {!Obs.warnings}
-      (tagged with [source]) and the offending part is skipped. *)
+      document's value ([null] reads as [nan]), unknown families are
+      registered on the fly.  Returns the number of series merged.
+      Never raises: unparsable input and kind/label/bucket mismatches
+      degrade to {!Obs.warnings} (tagged with [source]) and the
+      offending family or series is skipped. *)
 end

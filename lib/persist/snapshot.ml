@@ -15,9 +15,6 @@ let of_checkpoint ~phases ~dens ck =
     s_densities =
       Array.init (Density.n_channels dens) (fun c -> Density.chart dens ~channel:c) }
 
-let of_router ~phases router =
-  of_checkpoint ~phases ~dens:(Router.density router) (Router.checkpoint router)
-
 let to_checkpoint t =
   Router.checkpoint_make ~deletions:t.s_deletions ~del_hash:t.s_del_hash ~live:t.s_live
 

@@ -27,9 +27,6 @@ type t = {
 val of_checkpoint :
   phases:string list -> dens:Density.t -> Router.checkpoint -> t
 
-val of_router : phases:string list -> Router.t -> t
-(** Snapshot the router's current state. *)
-
 val to_checkpoint : t -> Router.checkpoint
 
 val to_string : t -> string

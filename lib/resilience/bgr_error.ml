@@ -51,7 +51,6 @@ let exit_code = function
   | Internal -> 10
 
 let with_file file t = match t.file with Some _ -> t | None -> { t with file = Some file }
-let with_phase phase t = match t.phase with Some _ -> t | None -> { t with phase = Some phase }
 
 let to_string t =
   let body = Printf.sprintf "[%s] %s" (code_name t.code) t.message in

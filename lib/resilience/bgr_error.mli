@@ -59,9 +59,6 @@ val exit_code : code -> int
 val with_file : string -> t -> t
 (** Attach a file name when the error does not carry one yet. *)
 
-val with_phase : string -> t -> t
-(** Attach a phase when the error does not carry one yet. *)
-
 val to_string : t -> string
 (** [file:line: [code] message]; omits the [file:line:] prefix when no
     file is known, and renders a missing line as [0]. *)

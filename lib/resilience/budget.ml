@@ -24,8 +24,6 @@ let make ?wall_ms ?phase_passes ?(clock = default_clock) () =
         deadline = Option.map (fun ms -> start +. (ms /. 1000.0)) wall_ms;
         passes = phase_passes }
 
-let is_unlimited = function Unlimited -> true | Armed _ -> false
-
 let now a =
   let t = a.clock () in
   if t > a.last then a.last <- t;
@@ -34,8 +32,6 @@ let now a =
 let expired = function
   | Unlimited -> false
   | Armed a -> ( match a.deadline with None -> false | Some d -> now a >= d)
-
-let elapsed_ms = function Unlimited -> 0.0 | Armed a -> (now a -. a.start) *. 1000.0
 
 let remaining_ms = function
   | Unlimited -> None

@@ -20,14 +20,9 @@ val make : ?wall_ms:float -> ?phase_passes:int -> ?clock:(unit -> float) -> unit
     [Unix.gettimeofday]; the budget records its start time by calling
     it once. *)
 
-val is_unlimited : t -> bool
-
 val expired : t -> bool
 (** True once the armed deadline has passed.  Always false for
     {!unlimited}. *)
-
-val elapsed_ms : t -> float
-(** Milliseconds since the budget was armed (0 for {!unlimited}). *)
 
 val remaining_ms : t -> float option
 (** [None] when no deadline is armed; never negative. *)

@@ -39,20 +39,10 @@ let dead_dir t id = t.t_root / "dead" / id
 
 let quarantine_dir t id = t.t_root / "quarantine" / id
 
-(* Atomic durable write, the Persist discipline: temp file, fsync,
-   rename. *)
+(* Atomic durable write (temp file, fsync, rename), as a structured
+   error. *)
 let write_file_atomic path s =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc s;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception Sys_error msg -> io_fail path msg
+  try Obs.write_file_atomic path s with Sys_error msg -> io_fail path msg
 
 let read_file path =
   match Lineio.read_all path with

@@ -1,5 +1,5 @@
 (* Cross-process trace stitching: fold one worker attempt's recorded
-   observability (spans + metrics snapshot) back into the supervising
+   observability (spans + metrics dump) back into the supervising
    daemon's tracer and registry.
 
    The worker hands the daemon an obs summary json (via the BGRW1
@@ -9,7 +9,7 @@
    re-emit each span as-is — worker pid, span ids, parent links and
    the shared trace id all survive, so one Perfetto load of the
    daemon's chrome trace shows serve.job -> serve.worker -> the
-   worker's own phase spans.  The metrics snapshot merges additively.
+   worker's own phase spans.  The metrics dump merges additively.
 
    Everything here is best-effort in the Obs failure-policy sense: a
    missing file, torn json line or incompatible metric family costs a
@@ -125,13 +125,13 @@ let merge ~dir ~summary_json () =
     let series =
       match str "metrics" with
       | None ->
-        Obs.warn "stitch (%s): summary names no metrics snapshot" source;
+        Obs.warn "stitch (%s): summary names no metrics dump" source;
         0
       | Some file -> (
         match read_file (Filename.concat dir file) with
         | None ->
           Obs.warn "stitch (%s): cannot read %s" source file;
           0
-        | Some text -> Obs.Metrics.merge_snapshot ~source text)
+        | Some text -> Obs.Metrics.merge_json ~source text)
     in
     { st_spans = spans; st_series = series }

@@ -193,7 +193,7 @@ let trace_chrome_file ~attempt = Printf.sprintf "trace-a%d.json" attempt
 
 let trace_jsonl_file ~attempt = Printf.sprintf "trace-a%d.jsonl" attempt
 
-let metrics_file ~attempt = Printf.sprintf "metrics-a%d.bgrm" attempt
+let metrics_file ~attempt = Printf.sprintf "metrics-a%d.json" attempt
 
 let obs_summary_file ~attempt = Printf.sprintf "obs-a%d.json" attempt
 
@@ -295,7 +295,7 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       beat ()
     in
     let budget = budget_of ?default_deadline_ms job in
-    (* Close the sinks, snapshot the registry, and hand the daemon the
+    (* Close the sinks, dump the registry, and hand the daemon the
        obs summary *before* the terminal frame — the supervisor stops
        reading at Done/Fail.  Best-effort: a full disk must cost a
        warning, never the attempt's verdict. *)
@@ -310,7 +310,7 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
           in
           write_file
             (Filename.concat dir (metrics_file ~attempt:attempt_no))
-            (Obs.Metrics.snapshot ());
+            (Obs.Metrics.render_json ());
           let summary =
             obs_summary_json ~job:job.Spool.j_id ~attempt:attempt_no
               ~pid:(Unix.getpid ()) ~epoch_s:(Obs.Trace.epoch_s ()) ~trace_id

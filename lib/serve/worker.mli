@@ -95,9 +95,11 @@ val trace_jsonl_file : attempt:int -> string
 val metrics_file : attempt:int -> string
 val obs_summary_file : attempt:int -> string
 (** Per-attempt observability artifact names inside the job's spool
-    directory ([trace-aN.json], [trace-aN.jsonl], [metrics-aN.bgrm],
+    directory ([trace-aN.json], [trace-aN.jsonl], [metrics-aN.json],
     [obs-aN.json]), keyed by the attempt ordinal so retries never
-    clobber an earlier attempt's trace.  The flight-recorder dump
+    clobber an earlier attempt's trace.  The metrics file is the
+    worker registry's {!Obs.Metrics.render_json} dump, which
+    {!Stitch.merge} folds back into the daemon.  The flight-recorder dump
     rides the same convention: {!Flight.attempt_filename}
     ([flight-aN.bgrf]). *)
 

@@ -12,7 +12,3 @@ let make ~name ~sources ~sinks ~limit_ps =
   if sinks = [] then raise (Bad_constraint (name ^ ": no sink terminals"));
   if limit_ps <= 0.0 then raise (Bad_constraint (name ^ ": non-positive delay limit"));
   { cname = name; sources; sinks; limit_ps }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d srcs -> %d sinks within %.1f ps" t.cname (List.length t.sources)
-    (List.length t.sinks) t.limit_ps

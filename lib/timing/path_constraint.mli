@@ -22,5 +22,3 @@ val make :
   t
 (** @raise Bad_constraint on empty endpoint sets or a non-positive
     limit. *)
-
-val pp : Format.formatter -> t -> unit

@@ -218,16 +218,6 @@ let endpoint_reports t ci =
 
 let margins t = Array.init (Array.length t.cons) (fun ci -> margin t ci)
 
-let total_negative_margin t =
-  Array.fold_left
-    (fun acc cs ->
-      if cs.crit_delay = neg_infinity then acc
-      else begin
-        let m = cs.pc.Path_constraint.limit_ps -. cs.crit_delay in
-        if m < 0.0 then acc +. m else acc
-      end)
-    0.0 t.cons
-
 let endpoint_slacks t ci =
   let cs = t.cons.(ci) in
   let limit = cs.pc.Path_constraint.limit_ps in

@@ -93,10 +93,6 @@ val margins : t -> float array
 (** {!margin} of every constraint, indexed by constraint id — a cheap
     snapshot for quality telemetry (no path walks). *)
 
-val total_negative_margin : t -> float
-(** Sum of the negative margins (a TNS analogue over constraints);
-    [0.0] when every constraint is met. *)
-
 val endpoint_slacks : t -> int -> float list
 (** Slack [tau_P - lp(sink)] of each reachable sink of the constraint,
     in sink order.  Same values as {!endpoint_reports} but without

@@ -143,7 +143,7 @@ let test_parent_span_links_roots () =
         (by_name "child").Obs.Trace.sp_parent;
       check_int "cleared: roots are roots again" 0 (by_name "after").Obs.Trace.sp_parent)
 
-(* ---- metrics snapshot codec ---------------------------------------- *)
+(* ---- metrics JSON dump + merge ------------------------------------- *)
 
 let snap_counter = Obs.Metrics.counter ~labels:[ "k" ] "test_snapshot_ops_total"
 let snap_gauge = Obs.Metrics.gauge "test_snapshot_level"
@@ -151,7 +151,10 @@ let snap_gauge = Obs.Metrics.gauge "test_snapshot_level"
 let snap_hist =
   Obs.Metrics.histogram ~buckets:[| 1.0; 10.0 |] "test_snapshot_lat_seconds"
 
-let test_snapshot_roundtrip () =
+(* A label value with every character the old line format had to escape. *)
+let awkward = "q\"b\\s,c=e s\nn"
+
+let test_json_dump_roundtrip () =
   Obs.set_clock_for_tests None;
   Obs.enable ();
   Obs.reset ();
@@ -159,34 +162,87 @@ let test_snapshot_roundtrip () =
   @@ fun () ->
   Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:3.0 snap_counter;
   Obs.Metrics.inc ~labels:[ ("k", "b") ] snap_counter;
+  Obs.Metrics.inc ~labels:[ ("k", "tenths") ] ~by:0.1 snap_counter;
+  Obs.Metrics.inc ~labels:[ ("k", "tenths") ] ~by:0.2 snap_counter;
+  Obs.Metrics.inc ~labels:[ ("k", awkward) ] ~by:5.0 snap_counter;
   Obs.Metrics.set snap_gauge 17.5;
   Obs.Metrics.observe snap_hist 0.5;
   Obs.Metrics.observe snap_hist 99.0;
-  let snap = Obs.Metrics.snapshot () in
-  check_bool "snapshot has the magic line" true
-    (String.length snap >= 13 && String.sub snap 0 13 = "bgr-metrics 1");
-  (* merging a registry's own snapshot doubles counters and histogram
+  let family dump name =
+    match Qjson.parse dump with
+    | Error m -> Alcotest.failf "dump is not JSON: %s" m
+    | Ok j ->
+      let fams = Option.value (Option.bind (Qjson.member "metrics" j) Qjson.to_list) ~default:[] in
+      List.find_opt (fun f -> Option.bind (Qjson.member "name" f) Qjson.to_str = Some name) fams
+  in
+  let dump = Obs.Metrics.render_json () in
+  (match family dump "test_snapshot_ops_total" with
+  | Some f ->
+    check_bool "family carries its kind" true
+      (Qjson.member "kind" f = Some (Qjson.Str "counter"));
+    check_bool "family carries its label names" true
+      (Qjson.member "label_names" f = Some (Qjson.Arr [ Qjson.Str "k" ]));
+    check_bool "family carries its help" true (Qjson.member "help" f = Some (Qjson.Str ""))
+  | None -> Alcotest.fail "counter family missing from the dump");
+  let tenths = Obs.Metrics.value ~labels:[ ("k", "tenths") ] snap_counter in
+  (* merging a registry's own dump doubles counters and histogram
      tallies and leaves gauges at their (last-write) value *)
-  let merged = Obs.Metrics.merge_snapshot ~source:"self" snap in
-  check_bool "merged several series" true (merged >= 4);
+  let warned = List.length (Obs.warnings ()) in
+  let merged = Obs.Metrics.merge_json ~source:"self" dump in
+  check_bool "merged several series" true (merged >= 6);
+  check_int "a clean merge warns nothing" warned (List.length (Obs.warnings ()));
   check_bool "counter doubled" true
     (Obs.Metrics.value ~labels:[ ("k", "a") ] snap_counter = Some 6.0);
   check_bool "other series too" true
     (Obs.Metrics.value ~labels:[ ("k", "b") ] snap_counter = Some 2.0);
-  check_bool "gauge takes the snapshot value" true
+  check_bool "0.1 + 0.2 merges to exactly twice its value" true
+    (match tenths with
+     | Some v -> Obs.Metrics.value ~labels:[ ("k", "tenths") ] snap_counter = Some (2.0 *. v)
+     | None -> false);
+  check_bool "awkward label value survives the round trip" true
+    (Obs.Metrics.value ~labels:[ ("k", awkward) ] snap_counter = Some 10.0);
+  check_int "no stray series appeared" 4 (List.length (Obs.Metrics.series snap_counter));
+  check_bool "gauge takes the dumped value" true
     (Obs.Metrics.value snap_gauge = Some 17.5);
   (match Obs.Metrics.histogram_snapshot snap_hist with
   | Some (bounds, counts, sum, count) ->
     check_bool "bucket bounds intact" true (bounds = [| 1.0; 10.0 |]);
     check_bool "per-bucket counts doubled" true (counts = [| 2; 0; 2 |]);
-    check_bool "sum doubled" true (Float.abs (sum -. 199.0) < 1e-9);
+    check_bool "sum doubled" true (sum = 199.0);
     check_int "count doubled" 4 count
   | None -> Alcotest.fail "histogram series vanished");
-  (* garbage degrades to a warning, not an exception *)
-  let before = List.length (Obs.warnings ()) in
-  check_int "garbage merges zero series" 0
-    (Obs.Metrics.merge_snapshot ~source:"junk" "not a snapshot\n");
-  check_bool "and warns" true (List.length (Obs.warnings ()) > before)
+  (* a non-finite gauge renders as null and merges as nan *)
+  Obs.Metrics.set snap_gauge infinity;
+  let dump = Obs.Metrics.render_json () in
+  check_bool "non-finite gauge renders as null" true
+    (match family dump "test_snapshot_level" with
+     | Some f ->
+       Option.bind (Qjson.member "series" f) Qjson.to_list
+       = Some [ Qjson.Obj [ ("labels", Qjson.Obj []); ("value", Qjson.Null) ] ]
+     | None -> false);
+  ignore (Obs.Metrics.merge_json ~source:"self" dump);
+  check_bool "null gauge merges as nan" true
+    (match Obs.Metrics.value snap_gauge with Some v -> Float.is_nan v | None -> false);
+  Obs.Metrics.set snap_gauge 17.5;
+  let counter_before = Obs.Metrics.value ~labels:[ ("k", "a") ] snap_counter in
+  (* input that disagrees with the registry, or is not a dump at all,
+     merges nothing and warns *)
+  let rejects what text =
+    let before = List.length (Obs.warnings ()) in
+    check_int (what ^ " merges zero series") 0 (Obs.Metrics.merge_json ~source:what text);
+    check_bool (what ^ " warns") true (List.length (Obs.warnings ()) > before)
+  in
+  rejects "another kind"
+    {|{"metrics":[{"name":"test_snapshot_level","kind":"counter","help":"","label_names":[],"series":[{"labels":{},"value":1}]}]}|};
+  rejects "other label names"
+    {|{"metrics":[{"name":"test_snapshot_ops_total","kind":"counter","help":"","label_names":["j"],"series":[{"labels":{"j":"a"},"value":1}]}]}|};
+  rejects "other bucket bounds"
+    {|{"metrics":[{"name":"test_snapshot_lat_seconds","kind":"histogram","help":"","label_names":[],"series":[{"labels":{},"count":1,"sum":2,"buckets":[[2,1]],"overflow":0}]}]}|};
+  rejects "not json" "not json";
+  rejects "no metrics array" {|{"metrics":3}|};
+  check_bool "rejected input left the registry alone" true
+    (Obs.Metrics.value snap_gauge = Some 17.5
+     && Obs.Metrics.value ~labels:[ ("k", "a") ] snap_counter = counter_before)
 
 (* ---- golden renderings --------------------------------------------- *)
 
@@ -687,8 +743,8 @@ let () =
             test_parent_span_links_roots ] );
       ( "metrics",
         [ Alcotest.test_case "prometheus golden + shape" `Quick test_prometheus_golden;
-          Alcotest.test_case "snapshot codec round trip + merge" `Quick
-            test_snapshot_roundtrip;
+          Alcotest.test_case "JSON dump round trip + merge" `Quick
+            test_json_dump_roundtrip;
           Alcotest.test_case "label-value escaping" `Quick test_prom_label_escaping;
           Alcotest.test_case "histogram with zero observations" `Quick
             test_histogram_no_observations;

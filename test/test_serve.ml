@@ -1632,6 +1632,9 @@ let test_stats_opcode () =
 
 let test_worker_stitching () =
   let root = fresh_dir () in
+  (* The reference run routes in this process: do it before the reset
+     so the registry below only sees what the worker dumps carry. *)
+  let expected_hash = Lazy.force mini_hash in
   Obs.set_clock_for_tests None;
   Obs.enable ();
   Obs.reset ();
@@ -1651,7 +1654,7 @@ let test_worker_stitching () =
     match Serve_client.next_reply ~timeout_s:120.0 c with
     | Ok (Wire.Result { ok; json; _ }) ->
       checkb "routed" true ok;
-      checki "stitching left the hash alone" (Lazy.force mini_hash) (hash_of_json json)
+      checki "stitching left the hash alone" expected_hash (hash_of_json json)
     | _ -> Alcotest.fail "no result")
   | _ -> Alcotest.fail "not accepted");
   (* the stats opcode serves the very registry the drain would write *)
@@ -1674,7 +1677,12 @@ let test_worker_stitching () =
   List.iter
     (fun f ->
       checkb (f ^ " written") true (Sys.file_exists (Filename.concat jdir f)))
-    [ "trace-a1.json"; "trace-a1.jsonl"; "metrics-a1.bgrm"; "obs-a1.json" ];
+    [ "trace-a1.json"; "trace-a1.jsonl"; "metrics-a1.json"; "obs-a1.json" ];
+  (* under worker isolation the daemon never routes, so deletion counts
+     in its registry can only come from the merged worker dump *)
+  let deletions = Obs.Metrics.counter "bgr_deletions_total" ~labels:[ "criterion"; "phase" ] in
+  checkb "worker deletion counts merged into the daemon registry" true
+    (List.exists (fun (_, v) -> v > 0.0) (Obs.Metrics.series deletions));
   (* one merged timeline: the daemon's serve.job/serve.worker spans plus
      the worker's own spans, different pids, one trace id *)
   let spans = Obs.Trace.completed () in

@@ -227,41 +227,21 @@ let flight_on_outcome path (m : Flow.measurement) =
       if Flight.dump_file ~trigger:4 ~reason:("stop:" ^ m.Flow.m_stopped_because) p then
         Printf.printf "flight record: %s (%s)\n" p m.Flow.m_stopped_because
 
-(* The CLI-side quality sink: a [Qlog] writer wrapped so that any I/O
-   failure degrades to a stderr warning and stops recording — telemetry
-   must never fail (or alter) the run. *)
+(* The CLI-side quality sink: failures only warn on stderr (see
+   [Qlog.sink]); a completed log is reported on stdout. *)
 let quality_sink = function
   | None -> (None, fun () -> ())
-  | Some path -> (
+  | Some path ->
     (* the log may live inside a --persist run directory that the
        routing entry point has not created yet *)
     (try
        let d = Filename.dirname path in
        if not (Sys.file_exists d) then Unix.mkdir d 0o755
      with Unix.Unix_error _ -> ());
-    match Qlog.create ~path with
-    | exception Bgr_error.Error e ->
-      Printf.eprintf "warning: quality: %s\n%!" e.Bgr_error.message;
-      (None, fun () -> ())
-    | w ->
-      let dead = ref false in
-      let emit s =
-        if not !dead then
-          try ignore (Qlog.append w s)
-          with e ->
-            dead := true;
-            Qlog.close w;
-            Printf.eprintf "warning: quality: recording stopped: %s\n%!"
-              (match e with
-              | Bgr_error.Error err -> err.Bgr_error.message
-              | e -> Printexc.to_string e)
-      in
-      ( Some emit,
-        fun () ->
-          if not !dead then begin
-            Qlog.close w;
-            Printf.printf "quality log: %s (%d samples)\n" path (Qlog.appended w)
-          end ))
+    let emit, finish = Qlog.sink ~warn:prerr_endline path in
+    ( emit,
+      fun () ->
+        Option.iter (Printf.printf "quality log: %s (%d samples)\n" path) (finish ()) )
 
 let report_measurement name (m : Flow.measurement) =
   let t = Table.create ~title:(Printf.sprintf "Routing result: %s" name) ~columns:[ "metric"; "value" ] in

@@ -561,23 +561,6 @@ let to_json r =
 
 (* --- the last-N-seconds timeline --------------------------------------- *)
 
-(* Minimal local SVG helpers (Qsvg keeps its primitives private, and
-   this chart shares no geometry with the quality explorers). *)
-let esc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fpx v = Printf.sprintf "%.2f" v
-
 let lanes =
   [ ("phase/pass", [ Flight.k_phase; Flight.k_pass ], "#4c78a8");
     ("deletions", [ Flight.k_deletion ], "#54a24b");
@@ -592,32 +575,27 @@ let timeline_svg ?(window_s = 30.0) r =
   let w = 880 and left = 130.0 and top = 58.0 and row = 26.0 in
   let h = int_of_float (top +. (row *. float_of_int (List.length lanes)) +. 46.0) in
   let b = Buffer.create 4096 in
-  let put fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let put = Buffer.add_string b in
   put
-    "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%d\" height=\"%d\" viewBox=\"0 0 %d \
-     %d\" font-family=\"sans-serif\">\n\
-     <rect x=\"0\" y=\"0\" width=\"%d\" height=\"%d\" fill=\"#ffffff\"/>\n"
-    w h w h w h;
-  put "<text x=\"16\" y=\"24\" font-size=\"15\" fill=\"#222222\">flight timeline — %s</text>\n"
-    (esc r.p_verdict);
+    (Qsvg.text ~size:15 ~fill:"#222222" 16.0 24.0 ("flight timeline — " ^ r.p_verdict));
   let events = merged_events r in
   (match (r.p_flight, events) with
   | None, _ | _, [] ->
     put
-      "<text x=\"16\" y=\"46\" font-size=\"12\" fill=\"#888888\">no flight record — \
-       nothing to draw</text>\n"
+      (Qsvg.text ~size:12 ~fill:"#888888" 16.0 46.0
+         "no flight record — nothing to draw")
   | Some d, _ ->
     let t_end = List.fold_left (fun acc e -> max acc e.Flight.e_t_us) 0 events in
     let span_us = int_of_float (window_s *. 1e6) in
     let t_start = max 0 (t_end - span_us) in
     let visible = List.filter (fun e -> e.Flight.e_t_us >= t_start) events in
     put
-      "<text x=\"16\" y=\"46\" font-size=\"12\" fill=\"#555555\">%s · dump reason: %s · pid \
-       %d · last %.1fs, %d of %d events</text>\n"
-      (esc (Filename.concat r.p_dir r.p_flight_file))
-      (esc d.Flight.f_reason) d.Flight.f_pid
-      (float_of_int (t_end - t_start) /. 1e6)
-      (List.length visible) (List.length events);
+      (Qsvg.text ~size:12 ~fill:"#555555" 16.0 46.0
+         (Printf.sprintf "%s · dump reason: %s · pid %d · last %.1fs, %d of %d events"
+            (Filename.concat r.p_dir r.p_flight_file)
+            d.Flight.f_reason d.Flight.f_pid
+            (float_of_int (t_end - t_start) /. 1e6)
+            (List.length visible) (List.length events)));
     let x_of t =
       left
       +. (float_of_int (t - t_start) /. float_of_int (max 1 (t_end - t_start))
@@ -631,16 +609,10 @@ let timeline_svg ?(window_s = 30.0) r =
     let s = ref sec0 in
     while !s <= sec1 do
       let x = x_of (!s * 1_000_000) in
+      put (Qsvg.line ~stroke:"#dddddd" x (top -. 6.0) x axis_y);
       put
-        "<line x1=\"%s\" y1=\"%s\" x2=\"%s\" y2=\"%s\" stroke=\"#dddddd\" \
-         stroke-width=\"1.00\"/>\n"
-        (fpx x) (fpx (top -. 6.0)) (fpx x) (fpx axis_y);
-      put
-        "<text x=\"%s\" y=\"%s\" font-size=\"10\" fill=\"#888888\" \
-         text-anchor=\"middle\">%ds</text>\n"
-        (fpx x)
-        (fpx (axis_y +. 14.0))
-        !s;
+        (Qsvg.text ~anchor:"middle" ~size:10 ~fill:"#888888" x (axis_y +. 14.0)
+           (Printf.sprintf "%ds" !s));
       s := !s + step
     done;
     List.iteri
@@ -648,18 +620,9 @@ let timeline_svg ?(window_s = 30.0) r =
         let y = top +. (row *. float_of_int i) in
         let mine = List.filter (fun e -> List.mem e.Flight.e_kind kinds) visible in
         put
-          "<text x=\"%s\" y=\"%s\" font-size=\"11\" fill=\"#333333\" \
-           text-anchor=\"end\">%s (%d)</text>\n"
-          (fpx (left -. 10.0))
-          (fpx (y +. 14.0))
-          (esc label) (List.length mine);
-        put
-          "<line x1=\"%s\" y1=\"%s\" x2=\"%s\" y2=\"%s\" stroke=\"#eeeeee\" \
-           stroke-width=\"1.00\"/>\n"
-          (fpx left)
-          (fpx (y +. 10.0))
-          (fpx (float_of_int w -. 24.0))
-          (fpx (y +. 10.0));
+          (Qsvg.text ~anchor:"end" (left -. 10.0) (y +. 14.0)
+             (Printf.sprintf "%s (%d)" label (List.length mine)));
+        put (Qsvg.line ~stroke:"#eeeeee" left (y +. 10.0) (float_of_int w -. 24.0) (y +. 10.0));
         List.iter
           (fun e ->
             let x = x_of e.Flight.e_t_us in
@@ -669,20 +632,12 @@ let timeline_svg ?(window_s = 30.0) r =
                 e.Flight.e_a e.Flight.e_b e.Flight.e_c e.Flight.e_d
                 (float_of_int e.Flight.e_t_us /. 1e6)
             in
-            put
-              "<rect x=\"%s\" y=\"%s\" width=\"2.00\" height=\"16.00\" \
-               fill=\"%s\"><title>%s</title></rect>\n"
-              (fpx (x -. 1.0))
-              (fpx (y +. 2.0))
-              color (esc title);
+            put (Qsvg.rect ~fill:color ~title (x -. 1.0) (y +. 2.0) 2.0 16.0);
             (* phase entries get named so the lane reads as a story *)
             if e.Flight.e_kind = Flight.k_phase && e.Flight.e_b = 0 then
               put
-                "<text x=\"%s\" y=\"%s\" font-size=\"9\" fill=\"#4c78a8\">%s</text>\n"
-                (fpx (x +. 3.0))
-                (fpx (y +. 8.0))
-                (esc (Flight.phase_name e.Flight.e_a)))
+                (Qsvg.text ~size:9 ~fill:"#4c78a8" (x +. 3.0) (y +. 8.0)
+                   (Flight.phase_name e.Flight.e_a)))
           mine)
       lanes);
-  put "</svg>\n";
-  Buffer.contents b
+  Qsvg.document ~w ~h (Buffer.contents b)

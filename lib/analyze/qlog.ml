@@ -161,6 +161,32 @@ let close w =
     try flush w.w_oc; close_out_noerr w.w_oc with Sys_error _ -> ()
   end
 
+(* Telemetry must never fail (or alter) the run: an open failure and
+   the first append failure each become one [warn] line, and a failed
+   append closes the log and stops recording. *)
+let sink ~warn path =
+  match create ~path with
+  | exception Bgr_error.Error e ->
+    warn ("warning: quality: " ^ e.Bgr_error.message);
+    (None, fun () -> None)
+  | w ->
+    let dead = ref false in
+    let emit s =
+      if not !dead then
+        try ignore (append w s)
+        with e ->
+          dead := true;
+          close w;
+          let m =
+            match e with Bgr_error.Error err -> err.Bgr_error.message | e -> Printexc.to_string e
+          in
+          warn ("warning: quality: recording stopped: " ^ m)
+    in
+    ( Some emit,
+      fun () ->
+        close w;
+        if !dead then None else Some w.w_appended )
+
 (* --- reading --------------------------------------------------------- *)
 
 type read_result = { records : record list; torn : bool; warnings : string list }

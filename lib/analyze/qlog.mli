@@ -46,6 +46,18 @@ val path : writer -> string
 val close : writer -> unit
 (** Flush and close; idempotent. *)
 
+val sink :
+  warn:(string -> unit) ->
+  string ->
+  (Router.quality_sample -> unit) option * (unit -> int option)
+(** [sink ~warn path] is [(emit, finish)] for recording a run into a
+    new log at [path].  Telemetry never fails the run: an open failure
+    gives no [emit], and the first failed append closes the log and
+    turns later emits into no-ops; each is reported once through
+    [warn] (a ["warning: quality: ..."] line).  [finish ()] closes the
+    log and returns the samples recorded, or [None] when the log never
+    opened or recording stopped. *)
+
 (** {1 Reading} *)
 
 type read_result = {

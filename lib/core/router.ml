@@ -5,9 +5,6 @@ type options = {
   cl_estimator : cl_estimator;
   delay_model : delay_model;
   area_first_ordering : bool;
-  max_recover_passes : int;
-  max_delay_passes : int;
-  max_area_passes : int;
   domains : int;
 }
 
@@ -15,9 +12,6 @@ let default_options =
   { cl_estimator = Tentative_tree;
     delay_model = Lumped_c;
     area_first_ordering = false;
-    max_recover_passes = 4;
-    max_delay_passes = 3;
-    max_area_passes = 3;
     domains = 0 }
 
 type phase_report = { reroutes : int; passes : int }
@@ -1056,62 +1050,76 @@ let reroute_net t n =
 
 let no_guard () = ()
 
-let recover_violations ?(guard = no_guard) ?max_passes t =
-  let limit = min t.opts.max_recover_passes (Option.value max_passes ~default:max_int) in
+let max_recover_passes = 4
+let max_delay_passes = 3
+let max_area_passes = 3
+
+(* The Sec. 3.5 rip-up-and-reroute loop shared by the improvement
+   phases.  Before each of at most [ceiling] passes it calls [guard]
+   (which may raise to abandon the phase), then runs
+   [body ~pass ~reroute]: [None] ends the phase without counting a
+   pass, [Some (detail, again)] logs ["<name> pass N: <detail>"] and
+   continues only when [again] holds.  [area_mode] is the selection
+   ordering the phase reroutes under; the caller's is restored after. *)
+let rip_up t ~name ~area_mode ~ceiling ~guard body =
+  let saved_mode = t.area_mode in
+  set_area_mode t area_mode;
+  let reroutes = ref 0 and passes = ref 0 in
+  let reroute n =
+    reroute_net t n;
+    incr reroutes
+  in
+  let rec loop () =
+    if !passes < ceiling then begin
+      guard ();
+      let pass = !passes + 1 in
+      match body ~pass ~reroute with
+      | None -> ()
+      | Some (detail, again) ->
+        passes := pass;
+        trace "%s pass %d: %s" name pass detail;
+        emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass;
+        if again then loop ()
+    end
+  in
+  loop ();
+  set_area_mode t saved_mode;
+  { reroutes = !reroutes; passes = !passes }
+
+let no_passes = { reroutes = 0; passes = 0 }
+
+let recover_violations ?(guard = no_guard) t =
   match t.sta with
-  | None -> { reroutes = 0; passes = 0 }
+  | None -> no_passes
   | Some sta ->
     (* The recovery phase always weighs delay first, whatever ordering
        the initial routing used (Sec. 3.5 reserves the density-first
        ordering for the area phase). *)
-    let saved_mode = t.area_mode in
-    set_area_mode t false;
-    let reroutes = ref 0 and passes = ref 0 in
-    let rec loop () =
-      if !passes >= limit then ()
-      else begin
-        guard ();
+    rip_up t ~name:"recover" ~area_mode:false ~ceiling:max_recover_passes ~guard
+      (fun ~pass ~reroute ->
         match Sta.violations sta with
-        | [] -> ()
+        | [] -> None
         | violated ->
-          incr passes;
           let before = Sta.worst_path_delay sta in
           let on_constraint ci =
-            let nets = List.sort_uniq Int.compare (Sta.critical_nets sta ci) in
             List.iter
-              (fun n ->
-                if Sta.margin sta ci < 0.0 then begin
-                  reroute_net t n;
-                  incr reroutes
-                end)
-              nets
+              (fun n -> if Sta.margin sta ci < 0.0 then reroute n)
+              (List.sort_uniq Int.compare (Sta.critical_nets sta ci))
           in
           Obs.Trace.span "pass:recover_violations"
-            ~attrs:[ ("pass", Obs.Trace.Int !passes) ]
+            ~attrs:[ ("pass", Obs.Trace.Int pass) ]
             (fun () -> List.iter on_constraint violated);
           let after = Sta.worst_path_delay sta in
-          trace "recover pass %d: worst delay %.1f -> %.1f ps" !passes before after;
-          emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
-          if after < before -. 1e-6 || Sta.violations sta = [] then loop ()
-      end
-    in
-    loop ();
-    set_area_mode t saved_mode;
-    { reroutes = !reroutes; passes = !passes }
+          Some
+            ( Printf.sprintf "worst delay %.1f -> %.1f ps" before after,
+              after < before -. 1e-6 || Sta.violations sta = [] ))
 
-let improve_delay ?(guard = no_guard) ?max_passes t =
-  let limit = min t.opts.max_delay_passes (Option.value max_passes ~default:max_int) in
+let improve_delay ?(guard = no_guard) t =
   match t.sta with
-  | None -> { reroutes = 0; passes = 0 }
+  | None -> no_passes
   | Some sta ->
-    let saved_mode = t.area_mode in
-    set_area_mode t false;
-    let reroutes = ref 0 and passes = ref 0 in
-    let rec loop () =
-      if !passes >= limit then ()
-      else begin
-        guard ();
-        incr passes;
+    rip_up t ~name:"delay" ~area_mode:false ~ceiling:max_delay_passes ~guard
+      (fun ~pass ~reroute ->
         let before = Sta.worst_path_delay sta in
         (* Constraints by ascending margin; their critical nets first. *)
         let order =
@@ -1124,23 +1132,15 @@ let improve_delay ?(guard = no_guard) ?max_passes t =
             (fun n ->
               if not (Hashtbl.mem seen n) then begin
                 Hashtbl.replace seen n ();
-                reroute_net t n;
-                incr reroutes
+                reroute n
               end)
             (Sta.critical_nets sta ci)
         in
         Obs.Trace.span "pass:improve_delay"
-          ~attrs:[ ("pass", Obs.Trace.Int !passes) ]
+          ~attrs:[ ("pass", Obs.Trace.Int pass) ]
           (fun () -> List.iter on_constraint order);
         let after = Sta.worst_path_delay sta in
-        trace "delay pass %d: worst delay %.1f -> %.1f ps" !passes before after;
-        emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
-        if after < before -. 1e-6 then loop ()
-      end
-    in
-    loop ();
-    set_area_mode t saved_mode;
-    { reroutes = !reroutes; passes = !passes }
+        Some (Printf.sprintf "worst delay %.1f -> %.1f ps" before after, after < before -. 1e-6))
 
 let total_tracks t = Array.fold_left ( + ) 0 (Density.tracks_estimate t.dens)
 
@@ -1172,36 +1172,18 @@ let congested_nets t =
     t.nets;
   List.rev !result
 
-let improve_area ?(guard = no_guard) ?max_passes t =
-  let limit = min t.opts.max_area_passes (Option.value max_passes ~default:max_int) in
-  let reroutes = ref 0 and passes = ref 0 in
-  let saved_mode = t.area_mode in
-  set_area_mode t true;
-  let rec loop () =
-    if !passes >= limit then ()
-    else begin
-      guard ();
-      incr passes;
+let improve_area ?(guard = no_guard) t =
+  rip_up t ~name:"area" ~area_mode:true ~ceiling:max_area_passes ~guard
+    (fun ~pass ~reroute ->
       let before = total_tracks t in
       let nets = congested_nets t in
       Obs.Trace.span "pass:improve_area"
-        ~attrs:[ ("pass", Obs.Trace.Int !passes); ("nets", Obs.Trace.Int (List.length nets)) ]
-        (fun () ->
-          List.iter
-            (fun n ->
-              reroute_net t n;
-              incr reroutes)
-            nets);
+        ~attrs:[ ("pass", Obs.Trace.Int pass); ("nets", Obs.Trace.Int (List.length nets)) ]
+        (fun () -> List.iter reroute nets);
       let after = total_tracks t in
-      trace "area pass %d: total tracks %d -> %d (%d nets)" !passes before after
-        (List.length nets);
-      emit_quality t ~kind:Q_pass ~phase:t.cur_phase ~pass:!passes;
-      if after < before then loop ()
-    end
-  in
-  loop ();
-  set_area_mode t saved_mode;
-  { reroutes = !reroutes; passes = !passes }
+      Some
+        ( Printf.sprintf "total tracks %d -> %d (%d nets)" before after (List.length nets),
+          after < before ))
 
 (* --- checkpoints and the deadline-aware driver ----------------------- *)
 
@@ -1315,15 +1297,14 @@ let run ?(budget = Budget.unlimited) ?(completed = []) t =
         timed_phase "initial_route" (fun () -> initial_route t);
         mark "initial_route"
       end;
-      let limit d = Budget.phase_pass_limit budget ~default:d in
-      let improvement phase default_limit f =
+      let improvement phase (f : ?guard:(unit -> unit) -> t -> phase_report) =
         if not (skip phase) then begin
           t.cur_phase <- phase;
           Flight.record Flight.k_phase ~a:(Flight.phase_code phase) ~b:0 ~c:0 ~d:t.deletions;
           guard ~phase ();
           let r =
             timed_phase phase (fun () ->
-                let r = f ~guard:(guard ~phase) ~max_passes:(limit default_limit) t in
+                let r = f ~guard:(guard ~phase) t in
                 Obs.Trace.add_attr "reroutes" (Obs.Trace.Int r.reroutes);
                 Obs.Trace.add_attr "passes" (Obs.Trace.Int r.passes);
                 r)
@@ -1332,22 +1313,17 @@ let run ?(budget = Budget.unlimited) ?(completed = []) t =
           mark phase
         end
       in
-      improvement "recover_violations" t.opts.max_recover_passes (fun ~guard ~max_passes t ->
-          recover_violations ~guard ~max_passes t);
-      improvement "improve_delay" t.opts.max_delay_passes (fun ~guard ~max_passes t ->
-          improve_delay ~guard ~max_passes t);
-      improvement "improve_area" t.opts.max_area_passes (fun ~guard ~max_passes t ->
-          improve_area ~guard ~max_passes t);
+      improvement "recover_violations" recover_violations;
+      improvement "improve_delay" improve_delay;
+      improvement "improve_area" improve_area;
       (* The area phase may lengthen critical nets inside still-met
          constraints; a final timing cleanup (an extra turn of the
          Sec. 3.5 rip-up loops) undoes that at negligible area cost. *)
       (match t.sta with
       | None -> ()
       | Some _ ->
-        improvement "final_recovery" t.opts.max_recover_passes (fun ~guard ~max_passes t ->
-            recover_violations ~guard ~max_passes t);
-        improvement "final_delay" t.opts.max_delay_passes (fun ~guard ~max_passes t ->
-            improve_delay ~guard ~max_passes t));
+        improvement "final_recovery" recover_violations;
+        improvement "final_delay" improve_delay);
       Finished
     with Stop_run reason ->
       (match reason with

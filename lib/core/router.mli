@@ -37,9 +37,6 @@ type options = {
   area_first_ordering : bool;
       (** use the area-improvement criterion ordering ([C_d] first,
           then density, [Gl]/[LD] last) from the start — ablation A1 *)
-  max_recover_passes : int;
-  max_delay_passes : int;
-  max_area_passes : int;
   domains : int;
       (** domain count of the parallel scoring engine: [0] (the
           default) resolves to the [BGR_DOMAINS] environment variable
@@ -107,12 +104,29 @@ val route_sequential : ?order:int list -> t -> unit
     that net is deleted before the next net is considered.  Unlike {!initial_route}, the result depends on the net
     ordering; recognized differential pairs still mirror. *)
 
-val recover_violations : ?guard:(unit -> unit) -> ?max_passes:int -> t -> phase_report
-val improve_delay : ?guard:(unit -> unit) -> ?max_passes:int -> t -> phase_report
-val improve_area : ?guard:(unit -> unit) -> ?max_passes:int -> t -> phase_report
-(** The improvement phases.  [guard] is called before every pass (it
-    may raise to abandon the phase); [max_passes] caps the pass count
-    below the configured maximum. *)
+val recover_violations : ?guard:(unit -> unit) -> t -> phase_report
+val improve_delay : ?guard:(unit -> unit) -> t -> phase_report
+val improve_area : ?guard:(unit -> unit) -> t -> phase_report
+(** The improvement phases of Sec. 3.5, each a rip-up-and-reroute pass
+    loop.  [guard] is called before every pass (it may raise to abandon
+    the phase).
+    {ul
+    {- {!recover_violations} reroutes, with delay-first ordering, the
+       critical nets of every violated constraint while a violation is
+       left and a pass lowers the worst path delay; with no violation
+       it stops before counting a pass.}
+    {- {!improve_delay} reroutes the critical nets of every constraint,
+       tightest margin first, while a pass lowers the worst path delay.}
+    {- {!improve_area} reroutes, with density-first ordering, the nets
+       crossing the peak column of the most congested channel while a
+       pass lowers the total track estimate.}}
+    The timing phases do nothing without an STA. *)
+
+val max_recover_passes : int
+val max_delay_passes : int
+val max_area_passes : int
+(** Pass ceilings of {!recover_violations}, {!improve_delay} and
+    {!improve_area}: 4, 3 and 3. *)
 
 type stop_reason =
   | Finished

@@ -324,19 +324,13 @@ let parallel_iter ?chunk t f n =
         done)
   end
 
-let parallel_init t n f =
-  if n <= 0 then [||]
+let parallel_map t f arr =
+  let n = Array.length arr in
+  if n = 0 then [||]
   else begin
     (* Element 0 is computed on the caller to seed the result array
        without an Option/Obj detour; the rest fills in parallel. *)
-    let out = Array.make n (f 0) in
-    parallel_iter t (fun i -> out.(i + 1) <- f (i + 1)) (n - 1);
+    let out = Array.make n (f arr.(0)) in
+    parallel_iter t (fun i -> out.(i + 1) <- f arr.(i + 1)) (n - 1);
     out
   end
-
-let parallel_map t f arr = parallel_init t (Array.length arr) (fun i -> f arr.(i))
-
-let parallel_list_map t f l = Array.to_list (parallel_map t f (Array.of_list l))
-
-let parallel_reduce t ~map ~combine ~init n =
-  Array.fold_left combine init (parallel_init t n map)

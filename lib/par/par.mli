@@ -11,7 +11,7 @@
 
     Guarantees relied upon by the router:
 
-    - {b Determinism}: [parallel_map]/[parallel_init] write result [i]
+    - {b Determinism}: [parallel_map] writes result [i]
       of input [i] — the output never depends on which domain computed
       which chunk or in what order.
     - {b Exceptions propagate}: the first exception raised by any
@@ -84,17 +84,5 @@ val parallel_iter : ?chunk:int -> t -> (int -> unit) -> int -> unit
     chunks ([chunk] indices per work item; default [n / (4 * domains)],
     at least 1). *)
 
-val parallel_init : t -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]: element order matches the sequential
-    result exactly. *)
-
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; index-stable. *)
-
-val parallel_list_map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map]; order-stable. *)
-
-val parallel_reduce : t -> map:(int -> 'a) -> combine:('a -> 'a -> 'a) -> init:'a -> int -> 'a
-(** [parallel_reduce pool ~map ~combine ~init n] maps [0..n-1] in
-    parallel and folds the results with [combine] on the caller in
-    index order — deterministic even for non-associative [combine]. *)

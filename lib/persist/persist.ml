@@ -33,15 +33,14 @@ let manifest_string ~timing_driven (o : Router.options) =
      timing_driven %b\n\
      cl_estimator %s\n\
      delay_model %s\n\
-     area_first_ordering %b\n\
-     max_recover_passes %d\n\
-     max_delay_passes %d\n\
-     max_area_passes %d\n"
-    timing_driven est dm o.area_first_ordering o.max_recover_passes o.max_delay_passes
-    o.max_area_passes
+     area_first_ordering %b\n"
+    timing_driven est dm o.area_first_ordering
 
 exception Bad of string
 
+(* Unknown keys are ignored: older manifests also list the pass
+   ceilings ([max_recover_passes 4], [max_delay_passes 3],
+   [max_area_passes 3]), which are constants now. *)
 let parse_manifest ?file s =
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   match
@@ -71,11 +70,6 @@ let parse_manifest ?file s =
       | "false" -> false
       | v -> fail "manifest field %s wants a boolean, got %S" k v
     in
-    let int_of k =
-      match int_of_string_opt (get k) with
-      | Some v -> v
-      | None -> fail "manifest field %s wants an integer, got %S" k (get k)
-    in
     let cl_estimator =
       match get "cl_estimator" with
       | "tentative_tree" -> Router.Tentative_tree
@@ -91,10 +85,7 @@ let parse_manifest ?file s =
       { Router.default_options with
         cl_estimator;
         delay_model;
-        area_first_ordering = bool_of "area_first_ordering";
-        max_recover_passes = int_of "max_recover_passes";
-        max_delay_passes = int_of "max_delay_passes";
-        max_area_passes = int_of "max_area_passes" }
+        area_first_ordering = bool_of "area_first_ordering" }
     in
     (bool_of "timing_driven", options)
   with

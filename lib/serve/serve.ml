@@ -296,7 +296,7 @@ let run_job cfg spool sh (job : Spool.job) =
               Worker.budget_of ?default_deadline_ms:cfg.default_deadline_ms !current
             in
             let on_quality, quality_finish =
-              Worker.quality_sink ~log:cfg.log (Filename.concat dir Qlog.default_filename)
+              Qlog.sink ~warn:cfg.log (Filename.concat dir Qlog.default_filename)
             in
             (* In-process attempts have no heartbeat stream; quality
                samples stand in so [watch] works under both isolations. *)
@@ -312,7 +312,7 @@ let run_job cfg spool sh (job : Spool.job) =
               (fun o ->
                 Worker.result_json id o.Flow.o_measurement
                   ~attempts:(!current).Spool.j_attempts)
-              (Fun.protect ~finally:quality_finish (fun () ->
+              (Fun.protect ~finally:(fun () -> ignore (quality_finish ())) (fun () ->
                    Worker.attempt ~domains:cfg.job_domains ~budget ~on_quality ~dir
                      !current))
           | Workers prefix -> (

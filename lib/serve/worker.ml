@@ -126,25 +126,6 @@ let error_json id (e : Bgr_error.t) ~attempts =
 
 (* --- one routing attempt (shared by both isolation modes) -------------- *)
 
-(* A quality sink that degrades to a log line: telemetry must never
-   fail the job (same discipline as the CLI's). *)
-let quality_sink ~log path =
-  match Qlog.create ~path with
-  | exception Bgr_error.Error e ->
-    log (Printf.sprintf "warning: quality: %s" e.Bgr_error.message);
-    (None, fun () -> ())
-  | w ->
-    let dead = ref false in
-    let emit s =
-      if not !dead then
-        try ignore (Qlog.append w s)
-        with _ ->
-          dead := true;
-          Qlog.close w;
-          log "warning: quality: recording stopped"
-    in
-    (Some emit, fun () -> if not !dead then Qlog.close w)
-
 let budget_of ?default_deadline_ms (job : Spool.job) =
   match
     match job.Spool.j_deadline_ms with Some ms -> Some ms | None -> default_deadline_ms
@@ -285,7 +266,7 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       done;
     let log m = prerr_endline ("bgr_serve worker: " ^ m) in
     let qlog_emit, qlog_finish =
-      quality_sink ~log (Filename.concat dir Qlog.default_filename)
+      Qlog.sink ~warn:log (Filename.concat dir Qlog.default_filename)
     in
     let on_quality (s : Router.quality_sample) =
       progress :=
@@ -323,7 +304,7 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       end
     in
     (match
-       Fun.protect ~finally:qlog_finish (fun () ->
+       Fun.protect ~finally:(fun () -> ignore (qlog_finish ())) (fun () ->
            let run () = attempt ~domains ~budget ~on_quality ~dir job in
            if obs then
              Obs.Trace.span

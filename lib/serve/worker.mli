@@ -59,11 +59,6 @@ val decode_event : string -> (event, Bgr_error.t) result
 val result_json : string -> Flow.measurement -> attempts:int -> string
 val error_json : string -> Bgr_error.t -> attempts:int -> string
 
-val quality_sink :
-  log:(string -> unit) -> string -> (Router.quality_sample -> unit) option * (unit -> unit)
-(** A quality-log emitter that degrades to a [log] warning instead of
-    failing the job; returns [(emit, finish)]. *)
-
 val budget_of : ?default_deadline_ms:int -> Spool.job -> Budget.t
 (** The job's own deadline, else the daemon default, else unlimited. *)
 

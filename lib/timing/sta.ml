@@ -120,36 +120,33 @@ let gd_edges_of_net t ~ci ~net =
 
 let constraints_of_net t net = t.net_constraints.(net)
 
+(* Walk arrival-realizing predecessors back from a sink. *)
+let path_to t ci sink =
+  let cs = t.cons.(ci) in
+  let dag = Delay_graph.dag t.dg in
+  let eps = 1e-9 in
+  let rec walk v acc =
+    let pred = ref (-1) in
+    Dag.iter_in dag v (fun ~edge_id:_ ~src ~weight ->
+        if
+          !pred = -1
+          && cs.arrival.(src) > neg_infinity
+          && abs_float (cs.arrival.(src) +. weight -. cs.arrival.(v)) < eps
+        then pred := src);
+    if !pred = -1 then v :: acc else walk !pred (v :: acc)
+  in
+  walk sink []
+
 let critical_path t ci =
   let cs = t.cons.(ci) in
   if cs.crit_delay = neg_infinity then []
-  else begin
-    let dag = Delay_graph.dag t.dg in
-    (* Start from the worst sink and walk arrival-realizing edges back. *)
-    let best_sink =
-      List.fold_left
-        (fun acc s ->
-          match acc with
-          | None -> Some s
-          | Some b -> if cs.arrival.(s) > cs.arrival.(b) then Some s else acc)
-        None cs.sink_vertices
-    in
-    match best_sink with
-    | None -> []
-    | Some sink ->
-      let eps = 1e-9 in
-      let rec walk v acc =
-        let pred = ref (-1) in
-        Dag.iter_in dag v (fun ~edge_id:_ ~src ~weight ->
-            if
-              !pred = -1
-              && cs.arrival.(src) > neg_infinity
-              && abs_float (cs.arrival.(src) +. weight -. cs.arrival.(v)) < eps
-            then pred := src);
-        if !pred = -1 then v :: acc else walk !pred (v :: acc)
-      in
-      walk sink []
-  end
+  else
+    (* The worst sink; the first one wins ties. *)
+    match cs.sink_vertices with
+    | [] -> []
+    | s0 :: rest ->
+      path_to t ci
+        (List.fold_left (fun b s -> if cs.arrival.(s) > cs.arrival.(b) then s else b) s0 rest)
 
 let critical_nets t ci =
   let path = critical_path t ci in
@@ -183,23 +180,6 @@ type endpoint_report = {
   ep_slack_ps : float;
   ep_path : int list;
 }
-
-(* Walk arrival-realizing predecessors back from a sink. *)
-let path_to t ci sink =
-  let cs = t.cons.(ci) in
-  let dag = Delay_graph.dag t.dg in
-  let eps = 1e-9 in
-  let rec walk v acc =
-    let pred = ref (-1) in
-    Dag.iter_in dag v (fun ~edge_id:_ ~src ~weight ->
-        if
-          !pred = -1
-          && cs.arrival.(src) > neg_infinity
-          && abs_float (cs.arrival.(src) +. weight -. cs.arrival.(v)) < eps
-        then pred := src);
-    if !pred = -1 then v :: acc else walk !pred (v :: acc)
-  in
-  walk sink []
 
 let endpoint_reports t ci =
   let cs = t.cons.(ci) in

@@ -360,6 +360,41 @@ let test_bit_identity () =
         plain recorded)
     [ ("valid_mini.bgr", 1); ("valid_mini.bgr", 4); ("valid_gen.bgr", 1); ("valid_gen.bgr", 4) ]
 
+(* A fault on the second append: the sink keeps the first sample, warns
+   once, drops every later sample and never changes the routing. *)
+let test_sink_degrades () =
+  let input = load_corpus "valid_mini.bgr" in
+  let path = Filename.temp_file "bgr_qlog_sink" ".bgrq" in
+  let plan =
+    match Fault.parse_plan "analyze.qlog:n=2" with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "plan: %s" m
+  in
+  let warnings = ref [] and offered = ref 0 in
+  let outcome, finished =
+    Fault.with_plan plan (fun () ->
+        match Qlog.sink ~warn:(fun m -> warnings := m :: !warnings) path with
+        | None, _ -> Alcotest.fail "the log did not open"
+        | Some emit, finish ->
+          let outcome =
+            Flow.run
+              ~on_quality:(fun s ->
+                incr offered;
+                emit s)
+              input
+          in
+          (outcome, finish ()))
+  in
+  check_bool "many samples offered" true (!offered > 2);
+  check_int "one warning" 1 (List.length !warnings);
+  check_bool "finish reports the stop" true (finished = None);
+  (match Qlog.read ~path with
+  | Ok r -> check_int "one sample recorded" 1 (List.length r.Qlog.records)
+  | Error e -> Alcotest.failf "read: %s" (Bgr_error.to_string e));
+  Sys.remove path;
+  check_string "recording failure = recording off" (fingerprint (Flow.run input))
+    (fingerprint outcome)
+
 (* ---- crash forensics ------------------------------------------------ *)
 
 let pm_counter = ref 0
@@ -402,6 +437,14 @@ let test_postmortem_inputs () =
     (let svg = Postmortem.timeline_svg r in
      String.length svg > 0 && String.sub svg 0 4 = "<svg")
 
+let count_sub sub s =
+  let sl = String.length sub in
+  let rec go i n =
+    if i + sl > String.length s then n
+    else go (i + 1) (if String.sub s i sl = sub then n + 1 else n)
+  in
+  go 0 0
+
 let test_postmortem_crash_verdict () =
   let dir = pm_dir () in
   bake_flight dir ~reason:"error:fault"
@@ -413,7 +456,10 @@ let test_postmortem_crash_verdict () =
   check_string "crash names the last commit" "crash-after-commit-42" r.Postmortem.p_verdict;
   check_string "phase recovered from the flight record" "improve_delay"
     r.Postmortem.p_last_phase;
-  check_int "deletions from the packed wide argument" 42 r.Postmortem.p_deletions
+  check_int "deletions from the packed wide argument" 42 r.Postmortem.p_deletions;
+  (* one titled event rectangle per flight event: the three baked and
+     the dump's own record *)
+  check_int "timeline titles" 4 (count_sub "<title>" (Postmortem.timeline_svg r))
 
 let test_postmortem_hang_prefers_latest_attempt () =
   let dir = pm_dir () in
@@ -501,4 +547,6 @@ let () =
         [ Alcotest.test_case "recorded route matches signoff" `Slow test_recorded_route ] );
       ( "determinism",
         [ Alcotest.test_case "deletion hash identical with recording on" `Slow
-            test_bit_identity ] ) ]
+            test_bit_identity;
+          Alcotest.test_case "a failing sink warns once and keeps the hash" `Quick
+            test_sink_degrades ] ) ]

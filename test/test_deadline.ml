@@ -72,12 +72,6 @@ let test_fake_clock_midrun () =
     check_bool "finished runs are not rolled back" false report.Router.rolled_back
   | r -> Alcotest.failf "expected Deadline or Finished, got %s" (Router.stop_reason_string r)
 
-let test_phase_pass_ceiling () =
-  let router, report, _ = run ~budget:(Budget.make ~phase_passes:1 ()) () in
-  check_bool "routed under a pass ceiling" true (Router.is_routed router);
-  check_string "pass ceilings alone never trigger a deadline stop" "finished"
-    (Router.stop_reason_string report.Router.stopped_because)
-
 let test_injected_router_fault () =
   match Fault.parse_plan "router.improve:n=1" with
   | Error m -> Alcotest.failf "plan: %s" m
@@ -96,7 +90,6 @@ let suite =
       test_zero_budget_deterministic_across_domains;
     Alcotest.test_case "unlimited budget finishes" `Quick test_unlimited_finishes;
     Alcotest.test_case "fake clock mid-run stop" `Quick test_fake_clock_midrun;
-    Alcotest.test_case "phase pass ceiling" `Quick test_phase_pass_ceiling;
     Alcotest.test_case "injected fault stops honestly" `Quick test_injected_router_fault ]
 
 let () = Alcotest.run "deadline" [ ("deadline", suite) ]

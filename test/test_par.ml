@@ -30,23 +30,12 @@ let test_iter_covers_each_index_once () =
             [ None; Some 1; Some 3; Some (n + 10) ])
         [ 0; 1; 2; 7; 64; 100; 1000 ])
 
-let test_init_and_map_preserve_order () =
+let test_map_preserves_order () =
   with_pool ~domains:4 (fun pool ->
-      let squares = Par.parallel_init pool 257 (fun i -> i * i) in
-      Alcotest.(check (array int)) "init order" (Array.init 257 (fun i -> i * i)) squares;
-      let doubled = Par.parallel_map pool (fun x -> 2 * x) squares in
-      Alcotest.(check (array int)) "map order" (Array.map (fun x -> 2 * x) squares) doubled;
-      Alcotest.(check (list int))
-        "list map order"
-        [ 2; 4; 6; 8 ]
-        (Par.parallel_list_map pool (fun x -> 2 * x) [ 1; 2; 3; 4 ]))
-
-let test_reduce () =
-  with_pool ~domains:3 (fun pool ->
-      Alcotest.(check int) "sum 0..999" 499500
-        (Par.parallel_reduce pool ~map:Fun.id ~combine:( + ) ~init:0 1000);
-      Alcotest.(check int) "empty reduce" 42
-        (Par.parallel_reduce pool ~map:Fun.id ~combine:( + ) ~init:42 0))
+      let xs = Array.init 257 (fun i -> i * i) in
+      Alcotest.(check (array int)) "map order" (Array.map (fun x -> 2 * x) xs)
+        (Par.parallel_map pool (fun x -> 2 * x) xs);
+      Alcotest.(check (array int)) "empty map" [||] (Par.parallel_map pool (fun x -> x) [||]))
 
 (* A worker exception must surface at the barrier on the caller, and
    the pool must stay usable afterwards. *)
@@ -55,7 +44,7 @@ let test_exception_propagates () =
       Alcotest.check_raises "raises Failure" (Failure "boom") (fun () ->
           Par.parallel_iter pool (fun i -> if i = 37 then failwith "boom") 100);
       Alcotest.(check int) "pool survives a failed round" 4950
-        (Par.parallel_reduce pool ~map:Fun.id ~combine:( + ) ~init:0 100))
+        (Array.fold_left ( + ) 0 (Par.parallel_map pool Fun.id (Array.init 100 Fun.id))))
 
 (* Nested parallel calls — both from helper domains (in_worker) and
    re-entrantly from the caller's own chunk (in_round) — must fall back
@@ -63,8 +52,12 @@ let test_exception_propagates () =
 let test_nested_falls_back_sequentially () =
   with_pool ~domains:3 (fun pool ->
       let out =
-        Par.parallel_init pool 8 (fun i ->
-            Par.parallel_reduce pool ~map:(fun j -> i * j) ~combine:( + ) ~init:0 50)
+        Par.parallel_map pool
+          (fun i ->
+            let acc = Atomic.make 0 in
+            Par.parallel_iter pool (fun j -> ignore (Atomic.fetch_and_add acc (i * j))) 50;
+            Atomic.get acc)
+          (Array.init 8 Fun.id)
       in
       Alcotest.(check (array int))
         "nested results"
@@ -100,8 +93,7 @@ let test_default_domains_env () =
 let suite =
   [ Alcotest.test_case "iter covers each index exactly once" `Quick
       test_iter_covers_each_index_once;
-    Alcotest.test_case "init/map preserve order" `Quick test_init_and_map_preserve_order;
-    Alcotest.test_case "reduce" `Quick test_reduce;
+    Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
     Alcotest.test_case "worker exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "nested calls fall back sequentially" `Quick
       test_nested_falls_back_sequentially;

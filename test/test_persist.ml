@@ -215,6 +215,24 @@ let test_torn_tail_resumes () =
     check_int "torn tail still lands on the uninterrupted hash" (Lazy.force d.d_hash)
       r.Persist.rr_outcome.Flow.o_measurement.Flow.m_deletion_hash
 
+(* Manifests written while the pass ceilings were router options list
+   them (always 4/3/3); new ones do not, and a resume accepts both. *)
+let test_manifest_with_pass_ceilings_resumes () =
+  let d = List.hd (Lazy.force designs) in
+  let dir = killed_dir d in
+  let mpath = Filename.concat dir Persist.manifest_file in
+  let manifest = read_bytes mpath in
+  let lines = String.split_on_char '\n' (String.trim manifest) in
+  check_int "a new manifest has five lines" 5 (List.length lines);
+  check_bool "no pass ceiling in a new manifest" false
+    (List.exists (String.starts_with ~prefix:"max_") lines);
+  write_bytes mpath (manifest ^ "max_recover_passes 4\nmax_delay_passes 3\nmax_area_passes 3\n");
+  match Persist.resume ~domains:1 ~dir () with
+  | Error e -> Alcotest.failf "resume: %s" (Bgr_error.to_string e)
+  | Ok r ->
+    check_int "the old manifest resumes to the uninterrupted hash" (Lazy.force d.d_hash)
+      r.Persist.rr_outcome.Flow.o_measurement.Flow.m_deletion_hash
+
 let flip_byte path off =
   let bytes = Bytes.of_string (read_bytes path) in
   Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 0x5A));
@@ -479,7 +497,9 @@ let () =
           Alcotest.test_case "mid-file corruption is structural" `Slow
             test_midfile_corruption_is_structural;
           Alcotest.test_case "snapshot corruption is structural" `Slow
-            test_snapshot_corruption_is_structural ] );
+            test_snapshot_corruption_is_structural;
+          Alcotest.test_case "manifest listing pass ceilings resumes" `Slow
+            test_manifest_with_pass_ceilings_resumes ] );
       ( "snapshot",
         [ Alcotest.test_case "snapshot -> load -> audit clean" `Slow
             test_snapshot_load_audit_clean ] );

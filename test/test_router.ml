@@ -132,14 +132,14 @@ let test_improvement_reports () =
   Router.initial_route router;
   let r = Router.recover_violations router in
   check_bool "recover passes bounded" true
-    (r.Router.passes <= (Router.options router).Router.max_recover_passes);
+    (r.Router.passes <= Router.max_recover_passes);
   let r = Router.improve_delay router in
   check_bool "delay passes bounded" true
-    (r.Router.passes <= (Router.options router).Router.max_delay_passes);
+    (r.Router.passes <= Router.max_delay_passes);
   let before = Array.fold_left ( + ) 0 (Density.tracks_estimate (Router.density router)) in
   let r = Router.improve_area router in
   check_bool "area passes bounded" true
-    (r.Router.passes <= (Router.options router).Router.max_area_passes);
+    (r.Router.passes <= Router.max_area_passes);
   let after = Array.fold_left ( + ) 0 (Density.tracks_estimate (Router.density router)) in
   check_bool "area phase never worsens total tracks" true (after <= before)
 

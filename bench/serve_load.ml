@@ -11,9 +11,9 @@
    and retried after a short pause, so the drive pushes the daemon into
    its overload regime without losing work.  The report: throughput,
    latency percentiles, shed/retry counts, and the registry payload on
-   one BENCH_METRICS_JSON line (persisted via --bench-out /
-   BGR_BENCH_OUT).  Every job's deletion hash is checked against the
-   uninterrupted in-process run: load must never change the answer.
+   one BENCH_METRICS_JSON line (persisted via --bench-out).  Every
+   job's deletion hash is checked against the uninterrupted in-process
+   run: load must never change the answer.
 
    Before the drive the bench also charges the always-on flight
    recorder: per-event record cost times the events one route records,
@@ -59,7 +59,7 @@ let bench_out_path () =
       else if String.length a > 12 && String.sub a 0 12 = "--bench-out=" then
         from_argv := Some (String.sub a 12 (String.length a - 12)))
     Sys.argv;
-  match !from_argv with Some p -> Some p | None -> Sys.getenv_opt "BGR_BENCH_OUT"
+  !from_argv
 
 (* load-driver metric families (client-side view of the daemon) *)
 let g_throughput =

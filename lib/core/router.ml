@@ -16,43 +16,6 @@ let default_options =
 
 type phase_report = { reroutes : int; passes : int }
 
-(* Per-edge lazily refreshed heuristic values.  Each group carries the
-   revision(s) it was computed at. *)
-type eval = {
-  mutable ev_cl_rev : int;
-  mutable ev_cl_without : float;
-  mutable ev_key_sta_rev : int;
-  mutable ev_key_net_rev : int;
-  mutable ev_cd : int;
-  mutable ev_gl : float;
-  mutable ev_ld : float;
-  mutable ev_lm_min : float;
-      (* Worst local margin LM(e,P) across the net's constraints,
-         computed alongside ev_cd/ev_gl/ev_ld.  Deterministic and never
-         read by any comparator — it only feeds the local-margin
-         histogram at commit time. *)
-  mutable ev_dens_rev : int;
-  mutable ev_d_max : int;
-  mutable ev_nd_max : int;
-  mutable ev_d_min : int;
-  mutable ev_nd_min : int;
-}
-
-let fresh_eval () =
-  { ev_cl_rev = -1;
-    ev_cl_without = 0.0;
-    ev_key_sta_rev = -1;
-    ev_key_net_rev = -1;
-    ev_cd = 0;
-    ev_gl = 0.0;
-    ev_ld = 0.0;
-    ev_lm_min = infinity;
-    ev_dens_rev = -1;
-    ev_d_max = 0;
-    ev_nd_max = 0;
-    ev_d_min = 0;
-    ev_nd_min = 0 }
-
 (* A checkpoint is each net's live candidate-graph edge set plus the
    deletion counters; edge ids are stable because init_net_state
    rebuilds a net's graph deterministically. *)
@@ -99,24 +62,74 @@ type quality_sample = {
 type net_state = {
   mutable rg : Routing_graph.t;
   mutable bridge : bool array;
-  mutable candidates : int list;
   mutable tree : int list;
   mutable tree_set : bool array;
   mutable cl_ff : float;
   mutable rev : int;
-  mutable evals : eval array;
+      (* Bumped on every change of the net's graph; keeps counting
+         across rebuilds, since the slot columns outlive a net state. *)
   mutable partner_map : int array;  (* -1 entries; [||] when not mirrored *)
 }
+
+(* One slot per candidate-graph edge: net [n]'s edge [e] is slot
+   [base.(n) + e].  Edge ids are stable across init_net_state (routing
+   graphs are rebuilt deterministically), so the numbering made once in
+   [create] holds for the router's lifetime, and ascending slots are the
+   (net, edge) order.  Besides the candidate byte, the columns hold the
+   lazily refreshed Sec. 3.4 values, each group stamped with the
+   revision(s) it was computed at. *)
+type slots = {
+  base : int array;  (* n_nets + 1 offsets *)
+  net_of : int array;
+  cand : Bytes.t;  (* live and not a bridge; written only by refresh_bridges *)
+  cl_rev : int array;
+  cl_without : Float.Array.t;
+  key_sta_rev : int array;
+  key_net_rev : int array;
+  cd : int array;
+  gl : Float.Array.t;
+  ld : Float.Array.t;
+  lm_min : Float.Array.t;
+      (* Worst local margin LM(e,P) across the net's constraints,
+         computed alongside cd/gl/ld.  Never read by any comparator — it
+         only feeds the local-margin histogram at commit time. *)
+  dens_rev : int array;
+  d_max : int array;
+  nd_max : int array;
+  d_min : int array;
+  nd_min : int array;
+  stale : int array;  (* work list of the parallel warm pass *)
+}
+
+let make_slots nets =
+  let n = Array.length nets in
+  let base = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i ns -> base.(i + 1) <- base.(i) + Ugraph.n_edges_total ns.rg.Routing_graph.graph)
+    nets;
+  let size = base.(n) in
+  let net_of = Array.make size 0 in
+  for i = 0 to n - 1 do
+    Array.fill net_of base.(i) (base.(i + 1) - base.(i)) i
+  done;
+  let ints v = Array.make size v and floats v = Float.Array.make size v in
+  { base; net_of; cand = Bytes.make size '\000';
+    cl_rev = ints (-1); cl_without = floats 0.0;
+    key_sta_rev = ints (-1); key_net_rev = ints (-1);
+    cd = ints 0; gl = floats 0.0; ld = floats 0.0; lm_min = floats infinity;
+    dens_rev = ints (-1); d_max = ints 0; nd_max = ints 0; d_min = ints 0; nd_min = ints 0;
+    stale = ints 0 }
 
 type t = {
   fp : Floorplan.t;
   assignment : Feedthrough.assignment;
   sta : Sta.t option;
   dens : Density.t;
-  mutable nets : net_state array;
+  nets : net_state array;
+  sl : slots;
   opts : options;
   hpwl_cap : float array;
-  mutable jog_um : float array;
+  jog_um : float array;
       (* Expected in-channel vertical jog per connection point, per
          channel.  The global router cannot see detailed track
          positions, but the delay measured after channel routing
@@ -160,7 +173,6 @@ let set_quality_hook t hook =
 let n_recognized_pairs t =
   Array.fold_left (fun acc ns -> if Array.length ns.partner_map > 0 then acc + 1 else acc) 0 t.nets
   / 2
-let set_area_mode t flag = t.area_mode <- flag
 
 (* --- observability (read-only; must never steer a routing decision) -- *)
 
@@ -331,46 +343,42 @@ let note_quality_deletion t crit =
 
 (* --- density bookkeeping ------------------------------------------- *)
 
-let register_edge_density t ns (e : Ugraph.edge) =
+(* Apply [f] (Density.add_trunk or remove_trunk) to the edge if it is a
+   trunk, under the net's recorded bridge flag. *)
+let trunk_density f ns (e : Ugraph.edge) =
   match Routing_graph.edge_kind ns.rg e.Ugraph.id with
   | Routing_graph.Trunk { channel; span } ->
-    Density.add_trunk t.dens ~channel ~span ~w:ns.rg.Routing_graph.pitch
-      ~bridge:ns.bridge.(e.Ugraph.id)
+    f ~channel ~span ~w:ns.rg.Routing_graph.pitch ~bridge:ns.bridge.(e.Ugraph.id)
   | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ()
 
-let unregister_edge_density t ns (e : Ugraph.edge) =
-  match Routing_graph.edge_kind ns.rg e.Ugraph.id with
-  | Routing_graph.Trunk { channel; span } ->
-    Density.remove_trunk t.dens ~channel ~span ~w:ns.rg.Routing_graph.pitch
-      ~bridge:ns.bridge.(e.Ugraph.id)
-  | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ()
+let register_net_density dens ns =
+  Ugraph.iter_edges ns.rg.Routing_graph.graph (trunk_density (Density.add_trunk dens) ns)
 
-let register_net_density t ns = Ugraph.iter_edges ns.rg.Routing_graph.graph (register_edge_density t ns)
-let unregister_net_density t ns = Ugraph.iter_edges ns.rg.Routing_graph.graph (unregister_edge_density t ns)
+let unregister_net_density dens ns =
+  Ugraph.iter_edges ns.rg.Routing_graph.graph (trunk_density (Density.remove_trunk dens) ns)
 
-(* The deletable candidates: every live non-bridge edge, in edge-id
-   order. *)
-let candidates_of g bridge =
-  List.rev
-    (Ugraph.fold_edges g
-       (fun acc (e : Ugraph.edge) -> if bridge.(e.Ugraph.id) then acc else e.Ugraph.id :: acc)
-       [])
+(* --- candidate slots ------------------------------------------------- *)
+
+let net_of_slot t s = t.nets.(t.sl.net_of.(s))
+let edge_of_slot t s = s - t.sl.base.(t.sl.net_of.(s))
+let is_candidate t n eid = Bytes.get t.sl.cand (t.sl.base.(n) + eid) <> '\000'
 
 (* Recompute the bridge set; reflect status flips of live trunks in the
-   d_m chart and refresh the candidate list. *)
+   d_m chart and rewrite the net's candidate bytes. *)
 let refresh_bridges t ns =
   let g = ns.rg.Routing_graph.graph in
   let nb = Bridges.bridges g in
-  Ugraph.iter_edges g (fun e ->
-      let id = e.Ugraph.id in
-      if nb.(id) <> ns.bridge.(id) then begin
-        match Routing_graph.edge_kind ns.rg id with
-        | Routing_graph.Trunk { channel; span } ->
-          Density.set_bridge t.dens ~channel ~span ~w:ns.rg.Routing_graph.pitch nb.(id)
-        | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ()
-      end);
-  ns.bridge <- nb;
-  ns.candidates <- candidates_of g nb
+  let base = t.sl.base.(ns.rg.Routing_graph.net_id) in
+  for id = 0 to Ugraph.n_edges_total g - 1 do
+    let live = Ugraph.is_live g id in
+    (if live && nb.(id) <> ns.bridge.(id) then
+       match Routing_graph.edge_kind ns.rg id with
+       | Routing_graph.Trunk { channel; span } ->
+         Density.set_bridge t.dens ~channel ~span ~w:ns.rg.Routing_graph.pitch nb.(id)
+       | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ());
+    Bytes.set t.sl.cand (base + id) (if live && not nb.(id) then '\001' else '\000')
+  done;
+  ns.bridge <- nb
 
 (* --- wire-length estimation ---------------------------------------- *)
 
@@ -428,65 +436,62 @@ let refresh_tree t ns =
       apply_net_timing t ns
     end
 
-(* --- per-edge heuristic values -------------------------------------- *)
+(* --- per-slot heuristic values -------------------------------------- *)
 
-let ensure_eval ns eid =
-  if eid >= Array.length ns.evals then begin
-    let bigger = Array.init (max 8 (2 * (eid + 1))) (fun _ -> fresh_eval ()) in
-    Array.blit ns.evals 0 bigger 0 (Array.length ns.evals);
-    ns.evals <- bigger
-  end;
-  ns.evals.(eid)
+let sta_revision t = match t.sta with None -> 0 | Some sta -> Sta.timing_revision sta
 
-let cl_without t ns eid =
-  let ev = ensure_eval ns eid in
-  if ev.ev_cl_rev <> ns.rev then begin
-    ev.ev_cl_rev <- ns.rev;
-    ev.ev_cl_without <-
-      (if not (eid < Array.length ns.tree_set && ns.tree_set.(eid)) then ns.cl_ff
-       else begin
-         match t.opts.cl_estimator with
-         | Star_bbox -> ns.cl_ff
-         | Tentative_tree -> (
-           match Routing_graph.tentative_tree ~exclude_edge:eid ns.rg with
-           | Some edges -> Routing_graph.tree_capacitance ns.rg ~edge_ids:edges
-           | None -> infinity (* cannot happen for non-bridge edges *))
-       end)
+(* Freshness of delay_key's columns (timing and net revisions) and of
+   density_params' (the channel's revision).  The warm pass tests both
+   via [slot_fresh], so it computes exactly what the accessors would. *)
+let key_fresh t ns s = t.sl.key_sta_rev.(s) = sta_revision t && t.sl.key_net_rev.(s) = ns.rev
+let dens_fresh t s ~channel = t.sl.dens_rev.(s) = Density.revision t.dens ~channel
+
+let slot_fresh t s =
+  let ns = net_of_slot t s in
+  key_fresh t ns s
+  &&
+  let channel, _ = Routing_graph.density_locus ns.rg (edge_of_slot t s) in
+  dens_fresh t s ~channel
+
+let cl_without t s =
+  let sl = t.sl in
+  let ns = net_of_slot t s in
+  if sl.cl_rev.(s) <> ns.rev then begin
+    sl.cl_rev.(s) <- ns.rev;
+    let eid = edge_of_slot t s in
+    Float.Array.set sl.cl_without s
+      (match t.opts.cl_estimator with
+      | Tentative_tree when eid < Array.length ns.tree_set && ns.tree_set.(eid) -> (
+        match Routing_graph.tentative_tree ~exclude_edge:eid ns.rg with
+        | Some edges -> Routing_graph.tree_capacitance ns.rg ~edge_ids:edges
+        | None -> infinity (* cannot happen for non-bridge edges *))
+      | Tentative_tree | Star_bbox -> ns.cl_ff)
   end;
-  ev.ev_cl_without
+  Float.Array.get sl.cl_without s
 
 (* Penalty function of Eq. 4; the exponent is clamped against overflow
    on grossly violated constraints. *)
 let penalty x limit =
   if x >= 0.0 then 1.0 -. (x /. limit) else exp (Float.min 50.0 (-.x /. limit))
 
-let delay_key t ns eid =
-  let ev = ensure_eval ns eid in
-  let sta_rev = match t.sta with None -> 0 | Some sta -> Sta.timing_revision sta in
-  if ev.ev_key_sta_rev <> sta_rev || ev.ev_key_net_rev <> ns.rev then begin
-    ev.ev_key_sta_rev <- sta_rev;
-    ev.ev_key_net_rev <- ns.rev;
-    match t.sta with
-    | None ->
-      ev.ev_cd <- 0;
-      ev.ev_gl <- 0.0;
-      ev.ev_ld <- 0.0;
-      ev.ev_lm_min <- infinity
+(* Refresh the slot's C_d, Gl, LD and LM(e,P) columns. *)
+let delay_key t s =
+  let sl = t.sl in
+  let ns = net_of_slot t s in
+  if not (key_fresh t ns s) then begin
+    sl.key_sta_rev.(s) <- sta_revision t;
+    sl.key_net_rev.(s) <- ns.rev;
+    let cd = ref 0 and gl = ref 0.0 and ld = ref 0.0 and lm_min = ref infinity in
+    (match t.sta with
+    | None -> ()
     | Some sta ->
       let net = ns.rg.Routing_graph.net_id in
       let cons = Sta.constraints_of_net sta net in
-      if cons = [] then begin
-        ev.ev_cd <- 0;
-        ev.ev_gl <- 0.0;
-        ev.ev_ld <- 0.0;
-        ev.ev_lm_min <- infinity
-      end
-      else begin
+      if cons <> [] then begin
         let dg = Sta.delay_graph sta in
         let dag = Delay_graph.dag dg in
         let td = Delay_graph.driver_td dg net in
-        let dcl = cl_without t ns eid -. ns.cl_ff in
-        let cd = ref 0 and gl = ref 0.0 and ld = ref 0.0 and lm_min = ref infinity in
+        let dcl = cl_without t s -. ns.cl_ff in
         let on_constraint ci =
           let pc = Sta.constraint_ sta ci in
           let m = Sta.margin sta ci in
@@ -507,28 +512,28 @@ let delay_key t ns eid =
           if lm <= 0.0 then incr cd;
           gl := !gl +. penalty lm pc.Path_constraint.limit_ps -. penalty m pc.Path_constraint.limit_ps
         in
-        List.iter on_constraint cons;
-        ev.ev_cd <- !cd;
-        ev.ev_gl <- !gl;
-        ev.ev_ld <- !ld;
-        ev.ev_lm_min <- !lm_min
-      end
-  end;
-  ev
+        List.iter on_constraint cons
+      end);
+    sl.cd.(s) <- !cd;
+    Float.Array.set sl.gl s !gl;
+    Float.Array.set sl.ld s !ld;
+    Float.Array.set sl.lm_min s !lm_min
+  end
 
-let density_params t ns eid =
-  let ev = ensure_eval ns eid in
-  let channel, span = Routing_graph.density_locus ns.rg eid in
-  let rev = Density.revision t.dens ~channel in
-  if ev.ev_dens_rev <> rev then begin
-    ev.ev_dens_rev <- rev;
+(* Refresh the slot's density interval parameters; returns the edge's
+   channel. *)
+let density_params t s =
+  let sl = t.sl in
+  let channel, span = Routing_graph.density_locus (net_of_slot t s).rg (edge_of_slot t s) in
+  if not (dens_fresh t s ~channel) then begin
+    sl.dens_rev.(s) <- Density.revision t.dens ~channel;
     let d_max, nd_max, d_min, nd_min = Density.edge_params t.dens ~channel ~span in
-    ev.ev_d_max <- d_max;
-    ev.ev_nd_max <- nd_max;
-    ev.ev_d_min <- d_min;
-    ev.ev_nd_min <- nd_min
+    sl.d_max.(s) <- d_max;
+    sl.nd_max.(s) <- nd_max;
+    sl.d_min.(s) <- d_min;
+    sl.nd_min.(s) <- nd_min
   end;
-  (channel, ev)
+  channel
 
 (* --- candidate comparison (Sec. 3.4) -------------------------------- *)
 
@@ -536,53 +541,45 @@ let float_cmp a b =
   let eps = 1e-9 in
   if a < b -. eps then -1 else if a > b +. eps then 1 else 0
 
-let compare_delay t (n1, e1) (n2, e2) =
-  let k1 = delay_key t t.nets.(n1) e1 and k2 = delay_key t t.nets.(n2) e2 in
-  let c = Int.compare k1.ev_cd k2.ev_cd in
-  if c <> 0 then c
-  else begin
-    let c = float_cmp k1.ev_gl k2.ev_gl in
-    if c <> 0 then c else float_cmp k1.ev_ld k2.ev_ld
-  end
+let compare_gl_ld t s1 s2 =
+  delay_key t s1;
+  delay_key t s2;
+  let c = float_cmp (Float.Array.get t.sl.gl s1) (Float.Array.get t.sl.gl s2) in
+  if c <> 0 then c else float_cmp (Float.Array.get t.sl.ld s1) (Float.Array.get t.sl.ld s2)
 
-let compare_cd_only t (n1, e1) (n2, e2) =
-  let k1 = delay_key t t.nets.(n1) e1 and k2 = delay_key t t.nets.(n2) e2 in
-  Int.compare k1.ev_cd k2.ev_cd
+let compare_cd_only t s1 s2 =
+  delay_key t s1;
+  delay_key t s2;
+  Int.compare t.sl.cd.(s1) t.sl.cd.(s2)
 
-let compare_gl_ld t (n1, e1) (n2, e2) =
-  let k1 = delay_key t t.nets.(n1) e1 and k2 = delay_key t t.nets.(n2) e2 in
-  let c = float_cmp k1.ev_gl k2.ev_gl in
-  if c <> 0 then c else float_cmp k1.ev_ld k2.ev_ld
+let compare_delay t s1 s2 =
+  let c = compare_cd_only t s1 s2 in
+  if c <> 0 then c else compare_gl_ld t s1 s2
 
-let compare_density t (n1, e1) (n2, e2) =
-  let ns1 = t.nets.(n1) and ns2 = t.nets.(n2) in
-  let t1 = Routing_graph.is_trunk ns1.rg e1 and t2 = Routing_graph.is_trunk ns2.rg e2 in
+let compare_density t s1 s2 =
+  let t1 = Routing_graph.is_trunk (net_of_slot t s1).rg (edge_of_slot t s1) in
+  let t2 = Routing_graph.is_trunk (net_of_slot t s2).rg (edge_of_slot t s2) in
   if t1 && not t2 then -1
   else if t2 && not t1 then 1
   else begin
-    let c1, p1 = density_params t ns1 e1 and c2, p2 = density_params t ns2 e2 in
-    let cmp f = Int.compare (f c1 p1) (f c2 p2) in
-    let f_m c p = Density.cm t.dens ~channel:c - p.ev_d_min in
-    let n_m c p = Density.ncm t.dens ~channel:c - p.ev_nd_min in
-    let f_big c p = Density.cM t.dens ~channel:c - p.ev_d_max in
-    let n_big c p = Density.ncM t.dens ~channel:c - p.ev_nd_max in
-    let c = cmp f_m in
-    if c <> 0 then c
-    else begin
-      let c = cmp n_m in
-      if c <> 0 then c
-      else begin
-        let c = cmp f_big in
-        if c <> 0 then c else cmp n_big
-      end
-    end
+    let c1 = density_params t s1 and c2 = density_params t s2 in
+    let cmp agg param =
+      Int.compare (agg t.dens ~channel:c1 - param.(s1)) (agg t.dens ~channel:c2 - param.(s2))
+    in
+    let c = cmp Density.cm t.sl.d_min in
+    if c <> 0 then c else
+    let c = cmp Density.ncm t.sl.nd_min in
+    if c <> 0 then c else
+    let c = cmp Density.cM t.sl.d_max in
+    if c <> 0 then c else cmp Density.ncM t.sl.nd_max
   end
 
-let compare_length t (n1, e1) (n2, e2) =
-  let w1 = (Ugraph.edge t.nets.(n1).rg.Routing_graph.graph e1).Ugraph.weight in
-  let w2 = (Ugraph.edge t.nets.(n2).rg.Routing_graph.graph e2).Ugraph.weight in
+let compare_length t s1 s2 =
+  let weight s =
+    (Ugraph.edge (net_of_slot t s).rg.Routing_graph.graph (edge_of_slot t s)).Ugraph.weight
+  in
   (* Longer edge preferred. *)
-  float_cmp w2 w1
+  float_cmp (weight s2) (weight s1)
 
 (* The two Sec. 3.4 comparison chains, with the criterion names the
    deletions-by-criterion counter reports. *)
@@ -599,7 +596,7 @@ let active_chain t = if t.area_mode then area_chain else delay_chain
 
 let compare_candidates t a b =
   let rec go = function
-    | [] -> compare a b (* deterministic final tie-break on ids *)
+    | [] -> Int.compare a b (* deterministic final tie-break: the (net, edge) order *)
     | (_, cmp) :: rest ->
       let c = cmp t a b in
       if c <> 0 then c else go rest
@@ -617,89 +614,61 @@ let criterion_between t a b =
   in
   go (active_chain t)
 
-(* A candidate of a mirrored pair is admissible only when its partner
-   image is alive and itself deletable. *)
-let admissible t n eid =
-  let ns = t.nets.(n) in
-  if Array.length ns.partner_map = 0 then true
-  else begin
-    match (Netlist.net (Floorplan.netlist t.fp) n).Netlist.diff_partner with
-    | None -> true
-    | Some p ->
-      let peid = if eid < Array.length ns.partner_map then ns.partner_map.(eid) else -1 in
-      let ok =
-        peid >= 0
-        && Ugraph.is_live t.nets.(p).rg.Routing_graph.graph peid
-        && not t.nets.(p).bridge.(peid)
-      in
-      if (not ok) && observing () then Obs.Metrics.inc m_bridge_rej;
-      ok
-  end
-
-(* All admissible candidates of [net_ids], in the exact order the
-   sequential selection would visit them. *)
-let admissible_candidates t net_ids =
-  let acc = ref [] and count = ref 0 in
+(* Call [f] on every admissible candidate slot of [net_ids] and
+   [rejected] on every other one — a candidate of a mirrored pair is
+   admissible only when its partner image is a candidate too — in the
+   order the sequential selection visits them: nets in list order, then
+   ascending edge id.  The order matters: float_cmp's tolerance makes
+   the chain non-transitive, so the id tie-break alone does not fix the
+   winner. *)
+let iter_admissible t net_ids ~rejected f =
+  let sl = t.sl in
   List.iter
     (fun n ->
-      let ns = t.nets.(n) in
-      List.iter
-        (fun eid ->
-          if admissible t n eid then begin
-            acc := (n, eid) :: !acc;
-            incr count
-          end)
-        ns.candidates)
-    net_ids;
-  let out = Array.make !count (0, 0) in
-  List.iter
-    (fun c ->
-      decr count;
-      out.(!count) <- c)
-    !acc;
-  out
+      let pm = t.nets.(n).partner_map and base = sl.base.(n) in
+      let partner =
+        if Array.length pm = 0 then None
+        else (Netlist.net (Floorplan.netlist t.fp) n).Netlist.diff_partner
+      in
+      for s = base to sl.base.(n + 1) - 1 do
+        if Bytes.get sl.cand s <> '\000' then
+          match partner with
+          | None -> f s
+          | Some p ->
+            let eid = s - base in
+            if eid < Array.length pm && pm.(eid) >= 0 && is_candidate t p pm.(eid) then f s
+            else rejected ()
+      done)
+    net_ids
 
 (* Parallel pre-computation of every candidate's heuristic values
    (C_d, Gl, LD via delay_key — including the tentative-tree CL(n)
    without the edge — and the density interval parameters).
 
-   Scoring is read-only with respect to everything shared: each
-   candidate's values land in its own [eval] record, written by exactly
-   one domain, and all values are deterministic functions of the
-   routing state.  The only lazily mutated shared caches on the read
-   path (the per-channel density aggregates) are warmed on the calling
-   domain first.  The sequential selection that follows then finds
-   every cache fresh and compares exactly the numbers the sequential
-   engine would have computed — which is the determinism argument for
-   the whole parallel engine (see DESIGN.md): parallel score,
-   sequential apply, bit-identical result. *)
-let warm_selection_caches t cands =
+   Scoring is read-only with respect to everything shared: each slot's
+   columns are written by exactly one domain, and all values are
+   deterministic functions of the routing state.  The only lazily
+   mutated shared caches on the read path (the per-channel density
+   aggregates) are warmed on the calling domain first.  The sequential
+   selection that follows then finds every cache fresh and compares
+   exactly the numbers the sequential engine would have computed —
+   which is the determinism argument for the whole parallel engine (see
+   DESIGN.md): parallel score, sequential apply, bit-identical
+   result. *)
+let warm_selection_caches t net_ids =
   match t.par with
   | None -> ()
   | Some pool ->
-    let sta_rev = match t.sta with None -> 0 | Some sta -> Sta.timing_revision sta in
-    (* Only candidates whose caches are stale under the exact revision
-       checks the lazy accessors use: after the first selection round a
-       deletion dirties one net and a couple of channels, so the
-       parallel work list stays proportional to the damage. *)
-    let stale = Array.make (Array.length cands) (0, 0) in
-    let n_stale = ref 0 in
-    Array.iter
-      (fun ((net, eid) as c) ->
-        let ns = t.nets.(net) in
-        let ev = ensure_eval ns eid in
-        if
-          ev.ev_key_sta_rev <> sta_rev
-          || ev.ev_key_net_rev <> ns.rev
-          ||
-          let channel, _ = Routing_graph.density_locus ns.rg eid in
-          ev.ev_dens_rev <> Density.revision t.dens ~channel
-        then begin
-          stale.(!n_stale) <- c;
-          incr n_stale
-        end)
-      cands;
-    let n = !n_stale in
+    (* Only stale slots: after the first selection round a deletion
+       dirties one net and a couple of channels, so the parallel work
+       list stays proportional to the damage. *)
+    let stale = t.sl.stale and n = ref 0 in
+    iter_admissible t net_ids ~rejected:ignore (fun s ->
+        if not (slot_fresh t s) then begin
+          stale.(!n) <- s;
+          incr n
+        end);
+    let n = !n in
     (* Under ~8 stale candidates the dispatch overhead outweighs the
        win and the sequential selection warms them up anyway. *)
     if n >= 8 then begin
@@ -711,52 +680,42 @@ let warm_selection_caches t cands =
       done;
       Par.parallel_iter pool
         (fun i ->
-          let net, eid = stale.(i) in
-          let ns = t.nets.(net) in
-          ignore (delay_key t ns eid);
-          ignore (density_params t ns eid))
+          delay_key t stale.(i);
+          ignore (density_params t stale.(i)))
         n
     end
 
-(* The best candidate under [compare_candidates].  With [runner_up]
-   the scan also tracks the second best (a pure bystander: the
-   best-update condition is the same) and names the criterion that made
-   the winner win; without it, exactly one comparison per candidate and
-   the label is "" (nobody reads it). *)
-let select t cands ~runner_up =
-  let best = ref None and second = ref None in
-  for i = 0 to Array.length cands - 1 do
-    let c = cands.(i) in
-    match !best with
-    | None -> best := Some c
-    | Some b ->
-      if compare_candidates t c b < 0 then begin
-        if runner_up then second := Some b;
-        best := Some c
+(* The best candidate slot under [compare_candidates].  With
+   [runner_up] the scan also tracks the second best (a pure bystander:
+   the best-update condition is the same) and names the criterion that
+   made the winner win; without it, exactly one comparison per
+   candidate and the label is "" (nobody reads it). *)
+let select t net_ids ~runner_up =
+  let observed = observing () in
+  let best = ref (-1) and second = ref (-1) in
+  iter_admissible t net_ids
+    ~rejected:(fun () -> if observed then Obs.Metrics.inc m_bridge_rej)
+    (fun s ->
+      if !best < 0 then best := s
+      else if compare_candidates t s !best < 0 then begin
+        if runner_up then second := !best;
+        best := s
       end
-      else if runner_up then begin
-        match !second with
-        | None -> second := Some c
-        | Some s -> if compare_candidates t c s < 0 then second := Some c
-      end
-  done;
-  match !best with
-  | None -> None
-  | Some b when not runner_up -> Some (b, "")
-  | Some b ->
-    Some (b, match !second with None -> "only_candidate" | Some s -> criterion_between t b s)
+      else if runner_up && (!second < 0 || compare_candidates t s !second < 0) then second := s);
+  if !best < 0 then None
+  else if not runner_up then Some (!best, "")
+  else Some (!best, if !second < 0 then "only_candidate" else criterion_between t !best !second)
 
-(* Returns the chosen candidate plus the criterion label for the
-   deletion counter and the quality log.  The winner does not depend on
+(* Returns the chosen slot plus the criterion label for the deletion
+   counter and the quality log.  The winner does not depend on
    [runner_up] — the runner-up tracking and the criterion naming are
    pure warm-cache reads — so turning either consumer on leaves the
    deletion hash unchanged. *)
 let select_among t net_ids =
-  let cands = admissible_candidates t net_ids in
   let observed = observing () in
   let t0 = if observed then Obs.now_s () else 0.0 in
-  warm_selection_caches t cands;
-  let r = select t cands ~runner_up:(observed || quality_on t) in
+  warm_selection_caches t net_ids;
+  let r = select t net_ids ~runner_up:(observed || quality_on t) in
   if observed then Obs.Metrics.observe m_batch (Obs.now_s () -. t0);
   r
 
@@ -769,14 +728,14 @@ let record_deletion t n eid = t.del_hash <- mix_hash (mix_hash t.del_hash n) eid
 let rec delete_cascade t n eid ~mirror =
   let ns = t.nets.(n) in
   let g = ns.rg.Routing_graph.graph in
-  assert (Ugraph.is_live g eid && not ns.bridge.(eid));
+  assert (is_candidate t n eid);
   let touched_tree = ref (eid < Array.length ns.tree_set && ns.tree_set.(eid)) in
-  unregister_edge_density t ns (Ugraph.edge g eid);
+  trunk_density (Density.remove_trunk t.dens) ns (Ugraph.edge g eid);
   Ugraph.delete_edge g eid;
   t.deletions <- t.deletions + 1;
   record_deletion t n eid;
   Routing_graph.prune_dangling ns.rg ~on_delete:(fun e ->
-      unregister_edge_density t ns e;
+      trunk_density (Density.remove_trunk t.dens) ns e;
       t.deletions <- t.deletions + 1;
       record_deletion t n e.Ugraph.id;
       if e.Ugraph.id < Array.length ns.tree_set && ns.tree_set.(e.Ugraph.id) then
@@ -828,9 +787,8 @@ let commit_deletion t n eid =
 let apply_deletion t ~net ~edge =
   if net < 0 || net >= Array.length t.nets then
     Bgr_error.raise_error ~phase:"resume" Bgr_error.Internal "journal replay: unknown net %d" net;
-  let ns = t.nets.(net) in
-  let g = ns.rg.Routing_graph.graph in
-  if edge < 0 || edge >= Ugraph.n_edges_total g || not (Ugraph.is_live g edge) || ns.bridge.(edge)
+  if edge < 0 || edge >= Ugraph.n_edges_total t.nets.(net).rg.Routing_graph.graph
+     || not (is_candidate t net edge)
   then
     Bgr_error.raise_error ~phase:"resume" Bgr_error.Internal
       "journal replay: edge %d of net %d is not a deletable candidate" edge net;
@@ -838,28 +796,33 @@ let apply_deletion t ~net ~edge =
 
 (* --- construction ---------------------------------------------------- *)
 
-(* Graph-only part of a net state (no density/timing side effects). *)
+(* Graph-only part of a net state (no density/timing side effects);
+   every edge starts as a non-bridge until [install_net]. *)
 let fresh_net_state ?jog_cost fp assignment net_id =
   let rg = Routing_graph.build ?jog_cost fp assignment ~net:net_id in
   Routing_graph.prune_dangling rg ~on_delete:(fun _ -> ());
-  let bridge = Bridges.bridges rg.Routing_graph.graph in
   { rg;
-    bridge;
-    candidates = candidates_of rg.Routing_graph.graph bridge;
+    bridge = Array.make (Ugraph.n_edges_total rg.Routing_graph.graph) false;
     tree = [];
     tree_set = [||];
     cl_ff = -1.0;
     rev = 0;
-    evals = Array.init (Ugraph.n_edges_total rg.Routing_graph.graph) (fun _ -> fresh_eval ());
     partner_map = [||] }
 
-let jog_cost_of t channel = t.jog_um.(channel)
+(* Register a freshly built net's trunks, then its bridge set and
+   candidate bytes, then its tentative tree and timing. *)
+let install_net t ns =
+  let n = ns.rg.Routing_graph.net_id in
+  assert (Ugraph.n_edges_total ns.rg.Routing_graph.graph = t.sl.base.(n + 1) - t.sl.base.(n));
+  register_net_density t.dens ns;
+  refresh_bridges t ns;
+  refresh_tree t ns
 
 let init_net_state t net_id =
-  let ns = fresh_net_state ~jog_cost:(jog_cost_of t) t.fp t.assignment net_id in
+  let ns = fresh_net_state ~jog_cost:(Array.get t.jog_um) t.fp t.assignment net_id in
+  ns.rev <- t.nets.(net_id).rev + 1;
   t.nets.(net_id) <- ns;
-  register_net_density t ns;
-  refresh_tree t ns
+  install_net t ns
 
 let recognize_pair t n p =
   let ns = t.nets.(n) and pns = t.nets.(p) in
@@ -873,14 +836,10 @@ let recognize_pair t n p =
     Array.iteri (fun ea eb -> if eb >= 0 then rev.(eb) <- ea) emap;
     pns.partner_map <- rev
 
-(* Rebuild every net's state from its full candidate graph, refresh the
-   timing state and recognise the differential pairs. *)
-let init_all_nets t =
+(* Refresh the timing state and recognise the differential pairs once
+   every net is installed. *)
+let settle_all_nets t =
   let netlist = Floorplan.netlist t.fp in
-  Array.iter (fun ns -> unregister_net_density t ns) t.nets;
-  for net = 0 to Array.length t.nets - 1 do
-    init_net_state t net
-  done;
   (match t.sta with Some sta -> Sta.refresh sta | None -> ());
   for net = 0 to Array.length t.nets - 1 do
     match (Netlist.net netlist net).Netlist.diff_partner with
@@ -888,9 +847,18 @@ let init_all_nets t =
     | Some _ | None -> ()
   done
 
+(* Rebuild every net's state from its full candidate graph. *)
+let init_all_nets t =
+  Array.iter (unregister_net_density t.dens) t.nets;
+  for net = 0 to Array.length t.nets - 1 do
+    init_net_state t net
+  done;
+  settle_all_nets t
+
 let create ?(options = default_options) fp assignment sta =
   let netlist = Floorplan.netlist fp in
   let n_nets = Netlist.n_nets netlist in
+  let n_channels = Floorplan.n_channels fp in
   (* [domains = 0] means auto (BGR_DOMAINS or the available cores);
      [<= 1] selects the strictly sequential engine.  A router built
      inside a pool worker (a parallel suite run) scores sequentially
@@ -901,15 +869,33 @@ let create ?(options = default_options) fp assignment sta =
   let par =
     if requested <= 1 || Par.in_worker () then None else Some (Par.get ~domains:requested ())
   in
+  (* Expected final channel depth is roughly half the candidate-graph
+     density (about half of all candidate trunks get deleted); a pin's
+     expected descent is half of that again.  The estimate is derived
+     from a zero-jog candidate pass, then every routing graph is
+     rebuilt with the jog surcharge priced into its correspondence and
+     branch edge weights. *)
+  let dens = Density.create ~n_channels ~width:(Floorplan.width fp) in
+  let zero_jog = Array.init n_nets (fun net -> fresh_net_state fp assignment net) in
+  Array.iter (register_net_density dens) zero_jog;
+  let jog_um =
+    Array.init n_channels (fun c ->
+        0.25 *. float_of_int (Density.cM dens ~channel:c) *. (Floorplan.dims fp).Dims.track_um)
+  in
+  Array.iter (unregister_net_density dens) zero_jog;
+  let nets =
+    Array.init n_nets (fun net -> fresh_net_state ~jog_cost:(Array.get jog_um) fp assignment net)
+  in
   let t =
     { fp;
       assignment;
       sta;
-      dens = Density.create ~n_channels:(Floorplan.n_channels fp) ~width:(Floorplan.width fp);
-      nets = Array.init n_nets (fun net -> fresh_net_state fp assignment net);
+      dens;
+      nets;
+      sl = make_slots nets;
       opts = options;
       hpwl_cap = Array.init n_nets (fun net -> hpwl_cap_of_net fp net);
-      jog_um = Array.make (Floorplan.n_channels fp) 0.0;
+      jog_um;
       deletions = 0;
       del_hash = 0;
       area_mode = options.area_first_ordering;
@@ -921,17 +907,8 @@ let create ?(options = default_options) fp assignment sta =
       q_crit = Hashtbl.create 8;
       q_unsampled = 0 }
   in
-  Array.iter (fun ns -> register_net_density t ns) t.nets;
-  (* Expected final channel depth is roughly half the candidate-graph
-     density (about half of all candidate trunks get deleted); a pin's
-     expected descent is half of that again.  The estimate is derived
-     from a zero-jog candidate pass, then every routing graph is
-     rebuilt with the jog surcharge priced into its correspondence and
-     branch edge weights. *)
-  t.jog_um <-
-    Array.init (Floorplan.n_channels fp) (fun c ->
-        0.25 *. float_of_int (Density.cM t.dens ~channel:c) *. (Floorplan.dims fp).Dims.track_um);
-  init_all_nets t;
+  Array.iter (install_net t) nets;
+  settle_all_nets t;
   t
 
 (* --- phases ----------------------------------------------------------- *)
@@ -942,13 +919,15 @@ let route_among t net_ids =
   let rec loop () =
     match select_among t net_ids with
     | None -> ()
-    | Some ((n, eid), crit) ->
+    | Some (s, crit) ->
+      let n = t.sl.net_of.(s) and eid = edge_of_slot t s in
       let before = t.deletions in
       if observing () then begin
-        (* delay_key only re-reads the eval cache the selection scan
-           just warmed; the LM(e,P) value was computed either way. *)
-        let ev = delay_key t t.nets.(n) eid in
-        if ev.ev_lm_min < infinity then Obs.Metrics.observe m_lm ev.ev_lm_min;
+        (* delay_key only re-reads the columns the selection scan just
+           warmed; the LM(e,P) value was computed either way. *)
+        delay_key t s;
+        let lm = Float.Array.get t.sl.lm_min s in
+        if lm < infinity then Obs.Metrics.observe m_lm lm;
         commit_deletion t n eid;
         Obs.Metrics.inc m_deletions ~labels:[ ("criterion", crit); ("phase", t.cur_phase) ];
         let cascade = t.deletions - before - 1 in
@@ -976,17 +955,14 @@ let initial_route t =
 (* Delete the candidates of net [n] outside [keep] until none is left;
    with [mirror], recognised partners follow through delete_cascade. *)
 let delete_outside t n ~keep ~mirror =
-  let ns = t.nets.(n) in
-  let in_keep = Hashtbl.create 64 in
-  List.iter (fun eid -> Hashtbl.replace in_keep eid ()) keep;
-  let rec loop () =
-    match List.find_opt (fun eid -> not (Hashtbl.mem in_keep eid)) ns.candidates with
-    | Some eid ->
-      delete_cascade t n eid ~mirror;
-      loop ()
-    | None -> ()
-  in
-  loop ()
+  let base = t.sl.base.(n) in
+  let in_keep = Array.make (t.sl.base.(n + 1) - base) false in
+  List.iter (fun eid -> in_keep.(eid) <- true) keep;
+  (* One ascending pass is the lowest-id-first order: deletions never
+     turn a non-candidate back into a candidate. *)
+  Array.iteri
+    (fun eid kept -> if (not kept) && is_candidate t n eid then delete_cascade t n eid ~mirror)
+    in_keep
 
 (* Track-heights added to a trunk's cost per unit of channel density
    over its span, in the sequential baseline. *)
@@ -1011,26 +987,23 @@ let route_sequential ?order t =
       match Routing_graph.tentative_tree ~cost:(congestion_cost ns) ns.rg with
       | None -> () (* cannot happen: the candidate graph is connected *)
       | Some wanted ->
-        routed.(n) <- true;
-        (match (Netlist.net netlist n).Netlist.diff_partner with
-        | Some p -> routed.(p) <- true
-        | None -> ());
-        delete_outside t n ~keep:wanted ~mirror:true;
-        (* Mirroring may leave deletable leftovers in an unrecognized
-           partner or in this net; fall back to plain edge deletion so
-           both end as trees. *)
         let members =
           match (Netlist.net netlist n).Netlist.diff_partner with
           | Some p -> [ n; p ]
           | None -> [ n ]
         in
+        List.iter (fun m -> routed.(m) <- true) members;
+        delete_outside t n ~keep:wanted ~mirror:true;
+        (* Mirroring may leave deletable leftovers in an unrecognized
+           partner or in this net; fall back to plain edge deletion so
+           both end as trees. *)
         route_among t members
     end
   in
   List.iter route_one order;
   trace "sequential baseline done after %d deletions" t.deletions
 
-let is_routed t = Array.for_all (fun ns -> ns.candidates = []) t.nets
+let is_routed t = not (Bytes.exists (fun c -> c <> '\000') t.sl.cand)
 
 let reroute_net t n =
   let netlist = Floorplan.netlist t.fp in
@@ -1039,7 +1012,7 @@ let reroute_net t n =
     | Some p -> [ min n p; max n p ]
     | None -> [ n ]
   in
-  List.iter (fun m -> unregister_net_density t t.nets.(m)) members;
+  List.iter (fun m -> unregister_net_density t.dens t.nets.(m)) members;
   List.iter (fun m -> init_net_state t m) members;
   (match members with
   | [ a; b ] -> recognize_pair t a b
@@ -1063,7 +1036,7 @@ let max_area_passes = 3
    ordering the phase reroutes under; the caller's is restored after. *)
 let rip_up t ~name ~area_mode ~ceiling ~guard body =
   let saved_mode = t.area_mode in
-  set_area_mode t area_mode;
+  t.area_mode <- area_mode;
   let reroutes = ref 0 and passes = ref 0 in
   let reroute n =
     reroute_net t n;
@@ -1083,7 +1056,7 @@ let rip_up t ~name ~area_mode ~ceiling ~guard body =
     end
   in
   loop ();
-  set_area_mode t saved_mode;
+  t.area_mode <- saved_mode;
   { reroutes = !reroutes; passes = !passes }
 
 let no_passes = { reroutes = 0; passes = 0 }
@@ -1332,7 +1305,7 @@ let run ?(budget = Budget.unlimited) ?(completed = []) t =
       | Fault_stop { phase; _ } ->
         Flight.record Flight.k_stop ~a:(Flight.phase_code phase) ~b:2 ~c:0 ~d:t.deletions
       | Finished -> ());
-      set_area_mode t saved_mode;
+      t.area_mode <- saved_mode;
       (match !last_ck with
       | Some ck when t.deletions <> ck.ck_deletions ->
         trace "%s: rolling back to the last checkpoint" (stop_reason_string reason);
@@ -1366,20 +1339,21 @@ let drop_pair_recognition t n =
   | Some p -> t.nets.(p).partner_map <- [||]
   | None -> ()
 
-(* Rebuild every piece of derived state — bridge sets, candidate lists,
-   density charts, tentative trees, wire caps and timing weights — from
-   the primal live graphs, which are the only source of truth after a
-   resume or a detected corruption.  Primal damage (a disconnected net)
-   is left alone: there is nothing to rebuild it from. *)
+(* Rebuild every piece of derived state — bridge sets, candidate
+   bytes, density charts, tentative trees, wire caps and timing weights
+   — from the primal live graphs, which are the only source of truth
+   after a resume or a detected corruption.  Primal damage (a
+   disconnected net) is left alone: there is nothing to rebuild it
+   from. *)
 let rebuild_derived t =
   Density.clear t.dens;
   Array.iter
     (fun ns ->
-      let g = ns.rg.Routing_graph.graph in
-      ns.bridge <- Bridges.bridges g;
-      ns.candidates <- candidates_of g ns.bridge;
-      ns.rev <- ns.rev + 1;
-      register_net_density t ns)
+      (* Trunks go in under the recorded bridge flags, which
+         refresh_bridges then corrects against a recount. *)
+      register_net_density t.dens ns;
+      refresh_bridges t ns;
+      ns.rev <- ns.rev + 1)
     t.nets;
   Array.iter
     (fun ns ->

@@ -45,9 +45,9 @@ type options = {
           routing result is bit-identical for every value: candidates
           are {e scored} in parallel (each deletable edge's [C_d],
           [Gl], [LD], tentative-tree [CL] and density parameters are
-          pure functions of the routing state, cached per edge) while
-          the winning deletion is selected and {e applied}
-          sequentially. *)
+          pure functions of the routing state, cached in the edge's own
+          slot of one table, which only one domain writes) while the
+          winning deletion is selected and {e applied} sequentially. *)
 }
 
 val default_options : options
@@ -155,8 +155,6 @@ type checkpoint
 (** Consistent routing state: each net's live candidate-edge set plus
     the deletion counters.  Edge ids are stable across router rebuilds
     because routing graphs are constructed deterministically. *)
-
-val checkpoint : t -> checkpoint
 
 val checkpoint_make : deletions:int -> del_hash:int -> live:int list array -> checkpoint
 (** Reassemble a checkpoint from its serialized parts (snapshot load). *)
@@ -300,8 +298,12 @@ val drop_pair_recognition : t -> int -> unit
     for a broken mirroring invariant — the nets route independently
     from here on. *)
 
+val is_candidate : t -> int -> int -> bool
+(** [is_candidate t net edge]: the edge's slot is marked deletable (live
+    and not a bridge), as {!rebuild_derived} recomputes it. *)
+
 val rebuild_derived : t -> unit
-(** Rebuild all derived state — bridge sets, candidate lists, density
+(** Rebuild all derived state — bridge sets, candidate slots, density
     charts, tentative trees, wire caps, timing weights — from the
     primal live graphs.  The repair step of [Verify.audit]: fixes any
     corruption of derived state; primal damage (a disconnected net) is
@@ -324,10 +326,6 @@ val channel_nets : t -> channel:int -> chan_net list
 val reroute_net : t -> int -> unit
 (** Rip up and reroute one net (and its recognized differential
     partner) with the current heuristics — exposed for experiments. *)
-
-val set_area_mode : t -> bool -> unit
-(** Toggle the area-improvement criterion ordering: delay count first,
-    then density conditions, with [Gl]/[LD] last (Sec. 3.5). *)
 
 val penalty : float -> float -> float
 (** The penalty function of Eq. 4:

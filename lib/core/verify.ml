@@ -6,6 +6,38 @@ type report = {
 
 let ok r = r.problems = []
 
+(* From-scratch state over the live graphs: each net's bridge set and
+   the density charts it implies (trunks in unknown channels skipped —
+   {!routed} reports those). *)
+let recount router =
+  let fp = Router.floorplan router in
+  let n_channels = Floorplan.n_channels fp in
+  let charts = Density.create ~n_channels ~width:(Floorplan.width fp) in
+  let of_net net =
+    let rg = Router.routing_graph router net in
+    let bridge = Bridges.bridges rg.Routing_graph.graph in
+    Ugraph.iter_edges rg.Routing_graph.graph (fun e ->
+        match Routing_graph.edge_kind rg e.Ugraph.id with
+        | Routing_graph.Trunk { channel; span } when channel >= 0 && channel < n_channels ->
+          Density.add_trunk charts ~channel ~span ~w:rg.Routing_graph.pitch
+            ~bridge:bridge.(e.Ugraph.id)
+        | Routing_graph.Trunk _ | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ());
+    bridge
+  in
+  let bridges = Array.init (Netlist.n_nets (Floorplan.netlist fp)) of_net in
+  (charts, bridges)
+
+(* Columns of [channel] where the router's d_M and d_m charts differ
+   from [charts]. *)
+let chart_mismatches router charts ~channel =
+  let live = Router.density router in
+  let bad_max = ref 0 and bad_min = ref 0 in
+  for x = 0 to Density.width live - 1 do
+    if Density.dM_at live ~channel ~x <> Density.dM_at charts ~channel ~x then incr bad_max;
+    if Density.dm_at live ~channel ~x <> Density.dm_at charts ~channel ~x then incr bad_min
+  done;
+  (!bad_max, !bad_min)
+
 let routed router =
   let fp = Router.floorplan router in
   let netlist = Floorplan.netlist fp in
@@ -15,8 +47,7 @@ let routed router =
   let problem fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let warn fmt = Format.kasprintf (fun s -> warnings := s :: !warnings) fmt in
   let width = Floorplan.width fp and n_channels = Floorplan.n_channels fp in
-  (* Recounted densities, filled as we walk the nets. *)
-  let recount = Density.create ~n_channels ~width in
+  let charts, _ = recount router in
   (* Feedthrough occupancy: slot id -> net. *)
   let slot_claims = Hashtbl.create 64 in
   for net = 0 to n_nets - 1 do
@@ -33,7 +64,6 @@ let routed router =
         if Ugraph.degree g v = 1 then problem "net %d: dangling stub at vertex %d" net v
     done;
     (* Geometry per live edge. *)
-    let bridge = Bridges.bridges g in
     let granted = Feedthrough.slots_of_net assignment net in
     Ugraph.iter_edges g (fun e ->
         match Routing_graph.edge_kind rg e.Ugraph.id with
@@ -46,9 +76,7 @@ let routed router =
             if
               Floorplan.trunk_blocked fp ~channel ~x1:(Interval.lo span)
                 ~x2:(Interval.hi span - 1)
-            then problem "net %d: trunk crosses a blockage in channel %d" net channel;
-            Density.add_trunk recount ~channel ~span ~w:rg.Routing_graph.pitch
-              ~bridge:bridge.(e.Ugraph.id)
+            then problem "net %d: trunk crosses a blockage in channel %d" net channel
           end
         | Routing_graph.Branch { row; x } -> begin
           match
@@ -107,17 +135,11 @@ let routed router =
     | Some _ | None -> ()
   done;
   (* Density charts. *)
-  let live = Router.density router in
-  (try
-     for c = 0 to n_channels - 1 do
-       for x = 0 to width - 1 do
-         if Density.dM_at live ~channel:c ~x <> Density.dM_at recount ~channel:c ~x then
-           problem "density d_M mismatch at channel %d column %d" c x;
-         if Density.dm_at live ~channel:c ~x <> Density.dm_at recount ~channel:c ~x then
-           problem "density d_m mismatch at channel %d column %d" c x
-       done
-     done
-   with e -> problem "density recount failed: %s" (Printexc.to_string e));
+  for c = 0 to n_channels - 1 do
+    let bad_max, bad_min = chart_mismatches router charts ~channel:c in
+    if bad_max > 0 then problem "density d_M mismatch in channel %d (%d columns)" c bad_max;
+    if bad_min > 0 then problem "density d_m mismatch in channel %d (%d columns)" c bad_min
+  done;
   { problems = List.rev !problems; warnings = List.rev !warnings; checked_nets = n_nets }
 
 (* --- state audit (crash-safety invariant sweep) ---------------------- *)
@@ -146,36 +168,17 @@ let rec audit ?(repair = false) ?(measured_caps = false) router =
   in
   let derived_damage = ref false in
   let broken_pairs = ref [] in
-  let width = Floorplan.width fp and n_channels = Floorplan.n_channels fp in
   let opts = Router.options router in
   (* 1. Channel densities: a from-scratch recount over the live graphs
      must equal the incrementally maintained charts, column by column,
      on both the d_M and the (bridge-only) d_m chart. *)
-  let recount = Density.create ~n_channels ~width in
-  for net = 0 to n_nets - 1 do
-    let rg = Router.routing_graph router net in
-    let g = rg.Routing_graph.graph in
-    let bridge = Bridges.bridges g in
-    Ugraph.iter_edges g (fun e ->
-        match Routing_graph.edge_kind rg e.Ugraph.id with
-        | Routing_graph.Trunk { channel; span } ->
-          Density.add_trunk recount ~channel ~span ~w:rg.Routing_graph.pitch
-            ~bridge:bridge.(e.Ugraph.id)
-        | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ())
-  done;
-  let live = Router.density router in
-  for c = 0 to n_channels - 1 do
-    let bad_max = ref 0 and bad_min = ref 0 in
-    for x = 0 to width - 1 do
-      if Density.dM_at live ~channel:c ~x <> Density.dM_at recount ~channel:c ~x then
-        incr bad_max;
-      if Density.dm_at live ~channel:c ~x <> Density.dm_at recount ~channel:c ~x then
-        incr bad_min
-    done;
-    if !bad_max > 0 || !bad_min > 0 then begin
+  let charts, bridges = recount router in
+  for c = 0 to Floorplan.n_channels fp - 1 do
+    let bad_max, bad_min = chart_mismatches router charts ~channel:c in
+    if bad_max > 0 || bad_min > 0 then begin
       derived_damage := true;
       finding "channel %d: density charts diverge from a recount (%d d_M and %d d_m columns)" c
-        !bad_max !bad_min
+        bad_max bad_min
     end
   done;
   for net = 0 to n_nets - 1 do
@@ -185,6 +188,16 @@ let rec audit ?(repair = false) ?(measured_caps = false) router =
        edges, so every net graph must still span its terminals. *)
     if not (Ugraph.connected_within g rg.Routing_graph.terminals) then
       finding "net %d: terminals disconnected — a bridge edge was deleted" net;
+    (* 7. Candidate slots: marked exactly when live and not a bridge. *)
+    let bad = ref 0 in
+    for id = 0 to Ugraph.n_edges_total g - 1 do
+      if Router.is_candidate router net id <> (Ugraph.is_live g id && not bridges.(net).(id))
+      then incr bad
+    done;
+    if !bad > 0 then begin
+      derived_damage := true;
+      finding "net %d: %d candidate slots diverge from a live non-bridge recount" net !bad
+    end;
     (* 3. The tentative tree must consist of live edges, and under the
        lumped model the recorded CL(n) must equal its capacitance. *)
     let tree = Router.tree_edges router net in
@@ -271,7 +284,8 @@ let rec audit ?(repair = false) ?(measured_caps = false) router =
     if !derived_damage then begin
       Router.rebuild_derived router;
       repairs :=
-        "rebuilt densities, trees, wire caps and timing from the primal graphs" :: !repairs
+        "rebuilt candidate slots, densities, trees, wire caps and timing from the primal graphs"
+        :: !repairs
     end;
     let again = audit ~repair:false ~measured_caps router in
     { again with repairs = List.rev !repairs }

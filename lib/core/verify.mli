@@ -62,7 +62,9 @@ val audit : ?repair:bool -> ?measured_caps:bool -> Router.t -> audit
       cached constraint margins survive an [Sta.refresh] (margin
       staleness);
     - every recognized differential pair's edge map is a live,
-      kind-preserving bijection.
+      kind-preserving bijection;
+    - every candidate slot is marked exactly when its edge is live and
+      not a bridge.
 
     [measured_caps] (default false) says the state already went through
     {!Flow.finish}, which deliberately replaces the delay graph's caps

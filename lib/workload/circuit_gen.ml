@@ -163,6 +163,16 @@ let generate p =
       let s = pick_source rng !pool ~below_level:(p.n_levels + 2) ~cluster ~locality:p.locality in
       connect s (Netlist.Port q))
     out_ports;
+  (* An input port no gate picked drives a buffer of its own, so the
+     netlist freezes; designs that use every port are left untouched. *)
+  List.iter
+    (fun s ->
+      match s.s_ep with
+      | Netlist.Port q when s.s_uses = 0 ->
+        let buf = Netlist.add_instance b ~name:(Printf.sprintf "inbuf%d" q) ~cell:"BUF2" in
+        connect s (Netlist.Pin { Netlist.inst = buf; term = "A" })
+      | Netlist.Port _ | Netlist.Pin _ -> ())
+    !pool;
   (* Emit ordinary nets in source-creation order. *)
   let ordered_sources = List.rev !pool in
   let net_counter = ref 0 in

@@ -2,7 +2,8 @@
    be bit-identical to [~domains:1] — same Table-2 metrics, same
    channel heights, and the same deleted-edge sequence (order-sensitive
    hash) — on every case of the synthetic suite, and repeated parallel
-   runs must agree with themselves. *)
+   runs must agree with themselves.  The 1-domain hashes are also
+   pinned to fixed values. *)
 
 let route ?(timing = true) ~domains (case : Suite.case) =
   Flow.run
@@ -19,13 +20,48 @@ let fingerprint (outcome : Flow.outcome) =
     (String.concat ";" (Array.to_list (Array.map string_of_int m.Flow.m_tracks)))
     (Router.deletion_hash outcome.Flow.o_router)
 
+(* Deletion hashes of [bgr_run route CASE --domains 1] (constrained) and
+   of [... -u] (unconstrained).  Equal domain counts only prove the
+   engines agree; these pin the routing decisions themselves, so a
+   change that moves any deletion fails here unless it is a deliberate,
+   documented re-baseline. *)
+let pinned_constrained =
+  [ ("MINI", 3841584272751667738);
+    ("C1P1", 4497237050982785072);
+    ("C1P2", 3744061529905252545);
+    ("C2P1", 769693637757968284);
+    ("C2P2", 1962463935218044182);
+    ("C3P1", 4074480815657787608) ]
+
+let pinned_unconstrained =
+  [ ("C1P1", 3676640659999057995);
+    ("C1P2", 4363920212158663565);
+    ("C2P1", 1431300894963823393);
+    ("C2P2", 94770341335326193);
+    ("C3P1", 811264361693329709) ]
+
+let check_pinned pinned ~what (case : Suite.case) (outcome : Flow.outcome) =
+  Alcotest.(check int)
+    (Printf.sprintf "%s %s: pinned deletion hash" case.Suite.case_name what)
+    (List.assoc case.Suite.case_name pinned)
+    (Router.deletion_hash outcome.Flow.o_router)
+
 let test_full_suite_constrained () =
   List.iter
     (fun (case : Suite.case) ->
+      let seq = route ~domains:1 case in
+      check_pinned pinned_constrained ~what:"constrained" case seq;
       Alcotest.(check string)
         (case.Suite.case_name ^ " constrained: 1 domain = 4 domains")
-        (fingerprint (route ~domains:1 case))
+        (fingerprint seq)
         (fingerprint (route ~domains:4 case)))
+    (Suite.mini () :: Suite.all ())
+
+let test_suite_unconstrained_pinned () =
+  List.iter
+    (fun case ->
+      check_pinned pinned_unconstrained ~what:"unconstrained" case
+        (route ~timing:false ~domains:1 case))
     (Suite.all ())
 
 let test_unconstrained () =
@@ -61,6 +97,7 @@ let test_suite_runner_equivalent () =
 let suite =
   [ Alcotest.test_case "full suite constrained: seq = par" `Slow test_full_suite_constrained;
     Alcotest.test_case "unconstrained: seq = par" `Slow test_unconstrained;
+    Alcotest.test_case "unconstrained suite: pinned hashes" `Slow test_suite_unconstrained_pinned;
     Alcotest.test_case "repeated parallel runs stable" `Slow test_repeated_runs_stable;
     Alcotest.test_case "parallel suite runner = sequential" `Slow test_suite_runner_equivalent ]
 

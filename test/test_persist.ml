@@ -473,6 +473,42 @@ let test_audit_detects_stale_timing () =
   let repaired = Verify.audit ~repair:true router in
   check_bool "timing damage repaired" true (Verify.audit_ok repaired)
 
+(* A deletion behind the router's back leaves the candidate slots stale:
+   the deleted edge (and any edge it turned into a bridge) is still
+   marked deletable. *)
+let test_audit_detects_stale_candidate_slots () =
+  let d = List.hd (Lazy.force designs) in
+  let _prep, router = Flow.prepare d.d_input in
+  let n_nets = Netlist.n_nets d.d_input.Flow.netlist in
+  let victim = ref None in
+  for net = n_nets - 1 downto 0 do
+    let rg = Router.routing_graph router net in
+    let g = rg.Routing_graph.graph in
+    let bridge = Bridges.bridges g in
+    let tree = Router.tree_edges router net in
+    Ugraph.iter_edges g (fun e ->
+        let id = e.Ugraph.id in
+        match Routing_graph.edge_kind rg id with
+        | Routing_graph.Branch _ when (not bridge.(id)) && not (List.mem id tree) ->
+          victim := Some (g, id)
+        | Routing_graph.Branch _ | Routing_graph.Trunk _ | Routing_graph.Correspondence _ -> ())
+  done;
+  (match !victim with
+  | Some (g, id) -> Ugraph.delete_edge g id
+  | None -> Alcotest.fail "no non-tree, non-bridge branch edge");
+  let a = Verify.audit router in
+  let mentions_slots (f : Bgr_error.t) =
+    let msg = f.Bgr_error.message and sub = "candidate slots" in
+    let n = String.length sub in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+    go 0
+  in
+  check_bool "stale candidate slot reported" true (List.exists mentions_slots a.Verify.findings);
+  let repaired = Verify.audit ~repair:true router in
+  check_bool
+    (Format.asprintf "slot damage repaired (%a)" Verify.pp_audit repaired)
+    true (Verify.audit_ok repaired)
+
 let test_audit_clean_on_fresh_route () =
   let d = List.hd (Lazy.force designs) in
   let router = routed_router d.d_input in
@@ -515,4 +551,6 @@ let () =
           Alcotest.test_case "density damage" `Slow test_audit_detects_density_damage;
           Alcotest.test_case "severed tree edge" `Slow test_audit_detects_dead_tree_edge;
           Alcotest.test_case "broken pair mirroring" `Slow test_audit_detects_broken_mirror;
-          Alcotest.test_case "stale timing caps" `Slow test_audit_detects_stale_timing ] ) ]
+          Alcotest.test_case "stale timing caps" `Slow test_audit_detects_stale_timing;
+          Alcotest.test_case "stale candidate slots" `Slow
+            test_audit_detects_stale_candidate_slots ] ) ]

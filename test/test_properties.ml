@@ -35,8 +35,8 @@ let gen_params =
 let arb_params =
   QCheck.make
     ~print:(fun p ->
-      Printf.sprintf "seed=%Ld comb=%d ff=%d" p.Circuit_gen.seed p.Circuit_gen.n_comb
-        p.Circuit_gen.n_ff)
+      Printf.sprintf "seed=%Ld comb=%d ff=%d levels=%d diff_pairs=%d" p.Circuit_gen.seed
+        p.Circuit_gen.n_comb p.Circuit_gen.n_ff p.Circuit_gen.n_levels p.Circuit_gen.n_diff_pairs)
     gen_params
 
 let flow_input p =

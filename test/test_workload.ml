@@ -76,6 +76,36 @@ let test_generate_deterministic () =
         done;
         !differs))
 
+(* Small designs with the property tests' parameters must all freeze.
+   Seed 77891 once left input port IN3 without a sink; such a port now
+   drives a buffer of its own. *)
+let test_generate_freezes_over_seeds () =
+  let buffered = ref 0 in
+  for seed = 77850 to 77949 do
+    for n_levels = 2 to 4 do
+      for n_diff_pairs = 0 to 2 do
+        let p =
+          { small_params with
+            Circuit_gen.seed = Int64.of_int seed;
+            n_comb = 18;
+            n_ff = 5;
+            n_levels;
+            n_diff_pairs }
+        in
+        match Circuit_gen.generate p with
+        | netlist, _ ->
+          if
+            Array.exists
+              (fun (i : Netlist.instance) -> String.starts_with ~prefix:"inbuf" i.Netlist.inst_name)
+              (Netlist.instances netlist)
+          then incr buffered
+        | exception Netlist.Invalid msg ->
+          Alcotest.failf "seed %d levels %d pairs %d: %s" seed n_levels n_diff_pairs msg
+      done
+    done
+  done;
+  check_bool "some design needed an input buffer" true (!buffered > 0)
+
 let test_constraints_have_paths () =
   let netlist, constraints = Circuit_gen.generate small_params in
   let dg = Delay_graph.build netlist in
@@ -175,6 +205,7 @@ let suite =
     Alcotest.test_case "prng pick/shuffle" `Quick test_prng_pick_shuffle;
     Alcotest.test_case "generator well-formed" `Quick test_generate_wellformed;
     Alcotest.test_case "generator deterministic" `Quick test_generate_deterministic;
+    Alcotest.test_case "generator freezes over seeds" `Quick test_generate_freezes_over_seeds;
     Alcotest.test_case "constraints have paths" `Quick test_constraints_have_paths;
     Alcotest.test_case "placement legal (P1/P2)" `Quick test_placement_legal;
     Alcotest.test_case "placement styles differ" `Quick test_placement_styles_differ;

@@ -109,7 +109,7 @@ let daemon_cmd =
     Arg.(
       value & opt int 2
       & info [ "max-attempts" ] ~docv:"N"
-          ~doc:"Attempts per job before it is retired to the dead-letter directory.")
+          ~doc:"Attempts per job before it moves to the dead-letter directory.")
   in
   let backoff_arg =
     Arg.(

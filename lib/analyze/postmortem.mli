@@ -61,10 +61,6 @@ val analyze : dir:string -> (report, Bgr_error.t) result
 (** Read everything the directory offers and classify.  [Error] only
     when [dir] is missing or not a directory. *)
 
-val merged_events : report -> Flight.event list
-(** All flight events across rings, oldest first (empty without a
-    dump) — the timeline the SVG and the verdict classifier walk. *)
-
 val to_json : report -> Qjson.t
 (** The [postmortem.json] image: verdict, evidence, artifact survey
     and per-source tails, machine-checkable. *)

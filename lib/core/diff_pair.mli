@@ -10,12 +10,9 @@
     The two nets of a pair run at adjacent feedthrough columns and at
     nearby pin columns of the same cells, so corresponding vertices sit
     at identical channels and columns differing by at most a small
-    offset ({!column_tolerance}).  Recognition performs a paired BFS
+    offset (4).  Recognition performs a paired BFS
     from the driver terminals, matching incident edges by sorted
     (kind, channel, column) signatures. *)
-
-val column_tolerance : int
-(** Maximum per-vertex column offset between the two graphs (4). *)
 
 val recognize : Routing_graph.t -> Routing_graph.t -> int array option
 (** [recognize a b] is the live-edge map from [a]'s edge ids to [b]'s

@@ -6,12 +6,9 @@
     per-sink Elmore delays through the routed tree — wider wires cut
     the resistive term, pulling the far sinks toward the near ones. *)
 
-val net_skew_ps :
-  dims:Dims.t -> netlist:Netlist.t -> rg:Routing_graph.t -> tree:int list -> float
-(** [max - min] Elmore sink delay; 0 for single-sink nets. *)
-
 val router_net_skew_ps : Router.t -> int -> float
-(** Skew of a net's current tree inside a router. *)
+(** Skew of a net's current tree inside a router: [max - min] Elmore
+    sink delay, 0 for single-sink nets. *)
 
 val widest_net : Netlist.t -> int option
 (** The net with the largest pitch (ties broken by fanout) — the clock

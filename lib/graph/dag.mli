@@ -32,8 +32,6 @@ val weight : t -> int -> float
 val endpoints : t -> int -> int * int
 (** [(src, dst)] of an edge id. *)
 
-val iter_out : t -> int -> (edge_id:int -> dst:int -> weight:float -> unit) -> unit
-
 val iter_in : t -> int -> (edge_id:int -> src:int -> weight:float -> unit) -> unit
 
 val iter_edges : t -> (edge_id:int -> src:int -> dst:int -> weight:float -> unit) -> unit

@@ -17,10 +17,6 @@ val shortest_paths :
 (** [cost] (default: the edge weight) lets callers price congestion
     into the search — used by the sequential baseline router. *)
 
-val path_edges : Ugraph.t -> result -> target:int -> int list option
-(** Edge ids of the shortest path from source to [target], target side
-    first; [None] when unreachable. *)
-
 val tentative_tree :
   ?exclude_edge:int ->
   ?cost:(Ugraph.edge -> float) ->

@@ -74,9 +74,6 @@ val slots : t -> slot array
 
 val n_slots : t -> int
 
-val place_of_instance : t -> int -> placed
-(** @raise Not_found for unplaced (feed) instances. *)
-
 val terminal_column : t -> Netlist.pin -> int
 (** Absolute column of an instance terminal. *)
 
@@ -85,9 +82,6 @@ val terminal_row : t -> Netlist.pin -> int
 val terminal_channels : t -> Netlist.pin -> int list
 (** Channels from which the terminal is reachable, per its access
     attribute. *)
-
-val port_column : t -> int -> int
-(** Principal column of a port. *)
 
 val port_candidates : t -> int -> int list
 (** Candidate columns for the external terminal (principal column plus

@@ -17,9 +17,6 @@ type worker = {
   cv : Condition.t;
   mutable job : (unit -> unit) option;
   mutable stop : bool;
-  mutable dead : bool;  (* helper domain exited; mailbox stays empty *)
-  mutable respawned : bool;  (* the slot's single respawn is spent *)
-  mutable retired : bool;  (* permanently out of service *)
   mutable busy_s : float;
       (* Cumulative seconds this helper spent inside jobs.  Written by
          the helper itself between rounds; the orchestrator reads it
@@ -31,14 +28,14 @@ type worker = {
 
 type t = {
   workers : worker array;
-  handles : unit Domain.t option array;
+  handles : unit Domain.t array;
   mutable alive : bool;
   mutable in_round : bool;
       (* A round is in flight: a nested submission from the caller's
          own chunk would clobber the helpers' mailboxes, so it runs
          sequentially instead (only the orchestrating domain ever
          touches this flag). *)
-  mutable warnings_rev : string list;
+  warnings : string list;
 }
 
 let in_worker_key = Domain.DLS.new_key (fun () -> false)
@@ -63,22 +60,10 @@ let m_rounds = Obs.Metrics.counter "bgr_par_rounds_total" ~help:"Parallel pool r
 let m_chunks =
   Obs.Metrics.counter "bgr_par_chunks_total" ~help:"Work chunks executed across all pool rounds"
 
-let m_respawns =
-  Obs.Metrics.counter "bgr_par_respawns_total" ~help:"Pool workers respawned after a death"
-
 let assert_orchestrator ~what =
   if in_worker () then
     Bgr_error.raise_error Bgr_error.Internal
       "%s must run on the orchestrating domain, never a pool worker" what
-
-(* Mark a worker dead under its lock with the mailbox cleared, so a
-   barrier waiting on [job = None] can never hang on it. *)
-let mark_dead w =
-  Mutex.lock w.m;
-  w.dead <- true;
-  w.job <- None;
-  Condition.broadcast w.cv;
-  Mutex.unlock w.m
 
 let worker_loop w =
   Domain.DLS.set in_worker_key true;
@@ -91,110 +76,56 @@ let worker_loop w =
     | None -> Mutex.unlock w.m (* stop requested *)
     | Some job ->
       Mutex.unlock w.m;
-      (* Injected worker death fires after pickup but before any chunk
-         is pulled: the atomic counter hands the whole round to the
-         surviving participants (the caller always participates), so a
-         death never loses work — it only costs parallelism. *)
-      if Fault.trip "par.worker" then mark_dead w
-      else begin
-        (* The job wrapper traps its own exceptions into the round's
-           result cell; anything escaping here would kill the helper, so
-           swallow defensively. *)
-        let timed = Obs.enabled () in
-        let t0 = if timed then Obs.now_s () else 0.0 in
-        (try job () with _ -> ());
-        if timed then w.busy_s <- w.busy_s +. (Obs.now_s () -. t0);
-        Mutex.lock w.m;
-        w.job <- None;
-        Condition.signal w.cv;
-        Mutex.unlock w.m;
-        loop ()
-      end
+      (* The job wrapper traps its own exceptions into the round's
+         result cell; anything escaping here would kill the helper, so
+         swallow defensively. *)
+      let timed = Obs.enabled () in
+      let t0 = if timed then Obs.now_s () else 0.0 in
+      (try job () with _ -> ());
+      if timed then w.busy_s <- w.busy_s +. (Obs.now_s () -. t0);
+      Mutex.lock w.m;
+      w.job <- None;
+      Condition.signal w.cv;
+      Mutex.unlock w.m;
+      loop ()
   in
-  try loop () with _ -> mark_dead w
+  loop ()
 
-(* Spawn a helper, retrying once: a failed [Domain.spawn] (resource
-   exhaustion, or the injected "par.spawn" fault) is often transient. *)
-let spawn_worker w =
-  let attempt () =
-    if Fault.trip "par.spawn" then failwith "injected spawn failure at site par.spawn";
-    Domain.spawn (fun () -> worker_loop w)
-  in
-  match attempt () with
-  | h -> Some h
-  | exception _ -> ( match attempt () with h -> Some h | exception _ -> None)
-
+(* Spawn helpers until one fails: [Domain.spawn] raises on resource
+   exhaustion (or the injected "par.spawn" fault), and the pool is then
+   the helpers that did start — a shortfall only costs parallelism. *)
 let create ?domains () =
   let n = match domains with Some n -> max 1 n | None -> default_domains () in
-  let workers =
-    Array.init (n - 1) (fun _ ->
+  let rec spawn started i =
+    if i = n - 1 then (List.rev started, [])
+    else
+      let w =
         { m = Mutex.create ();
           cv = Condition.create ();
           job = None;
           stop = false;
-          dead = false;
-          respawned = false;
-          retired = false;
           busy_s = 0.0;
-          busy_reported_s = 0.0 })
+          busy_reported_s = 0.0 }
+      in
+      match
+        if Fault.trip "par.spawn" then failwith "injected spawn failure at site par.spawn";
+        Domain.spawn (fun () -> worker_loop w)
+      with
+      | h -> spawn ((w, h) :: started) (i + 1)
+      | exception _ ->
+        (List.rev started, [ Printf.sprintf "could spawn only %d of %d pool helpers" i (n - 1) ])
   in
-  let warnings = ref [] in
-  let handles =
-    Array.map
-      (fun w ->
-        match spawn_worker w with
-        | Some h -> Some h
-        | None ->
-          w.dead <- true;
-          w.respawned <- true;
-          w.retired <- true;
-          warnings :=
-            "could not spawn a pool worker (retried once); continuing with fewer domains"
-            :: !warnings;
-          None)
-      workers
-  in
-  { workers; handles; alive = true; in_round = false; warnings_rev = !warnings }
+  let started, warnings = spawn [] 0 in
+  let workers, handles = List.split started in
+  { workers = Array.of_list workers;
+    handles = Array.of_list handles;
+    alive = true;
+    in_round = false;
+    warnings }
 
 let domains t = Array.length t.workers + 1
 
-let warnings t = List.rev t.warnings_rev
-let degraded t = Array.exists (fun w -> w.retired) t.workers
-
-(* Bring dead helpers back after a round: one respawn per slot, then
-   the slot is retired and the pool stays degraded (with every helper
-   retired the pool degenerates to the sequential engine). *)
-let heal t =
-  Array.iteri
-    (fun i w ->
-      if w.dead && not w.retired && t.alive then begin
-        (match t.handles.(i) with
-        | Some h -> ( try Domain.join h with _ -> ())
-        | None -> ());
-        t.handles.(i) <- None;
-        if w.respawned then begin
-          w.retired <- true;
-          t.warnings_rev <-
-            "a pool worker died again after its respawn; continuing with fewer domains"
-            :: t.warnings_rev
-        end
-        else begin
-          w.respawned <- true;
-          match spawn_worker w with
-          | Some h ->
-            w.dead <- false;
-            w.stop <- false;
-            t.handles.(i) <- Some h;
-            Obs.Metrics.inc m_respawns;
-            t.warnings_rev <- "a pool worker died mid-run; respawned it" :: t.warnings_rev
-          | None ->
-            w.retired <- true;
-            t.warnings_rev <-
-              "a pool worker died and could not be respawned; continuing with fewer domains"
-              :: t.warnings_rev
-        end
-      end)
-    t.workers
+let warnings t = t.warnings
 
 let shutdown t =
   if t.alive then begin
@@ -206,10 +137,11 @@ let shutdown t =
         Condition.broadcast w.cv;
         Mutex.unlock w.m)
       t.workers;
-    Array.iter (function Some h -> ( try Domain.join h with _ -> ()) | None -> ()) t.handles
+    Array.iter Domain.join t.handles
   end
 
-(* The shared pool: grown on demand, never shrunk.  Creation and growth
+(* The shared pool: grown on demand, never shrunk; a pool that came up
+   short of a request is rebuilt on the next one.  Creation and growth
    happen on the orchestrating domain only (nested requests from
    workers degrade to sequential before reaching [get]). *)
 let global : t option ref = ref None
@@ -264,10 +196,8 @@ let run_chunked t ~n_chunks f =
       Array.iter
         (fun w ->
           Mutex.lock w.m;
-          if not w.dead then begin
-            w.job <- Some body;
-            Condition.signal w.cv
-          end;
+          w.job <- Some body;
+          Condition.signal w.cv;
           Mutex.unlock w.m)
         t.workers;
       let t_caller0 = if timed then Obs.now_s () else 0.0 in
@@ -304,7 +234,6 @@ let run_chunked t ~n_chunks f =
               ~by:(Float.max 0.0 (round -. delta)))
           t.workers
       end;
-      heal t;
       match Atomic.get first_exn with Some e -> raise e | None -> ()
     end
   end

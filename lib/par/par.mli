@@ -20,14 +20,11 @@
     - {b Nesting is safe}: a parallel operation issued from inside a
       worker falls back to sequential execution instead of
       deadlocking, so parallel suite runs may wrap parallel routers.
-    - {b Worker death degrades, never hangs or loses work}: chunks are
-      handed out by an atomic counter and the caller always
-      participates, so a helper that dies (or fails to spawn) only
-      costs parallelism.  A dead helper is respawned once per slot;
-      after that the slot is retired, the pool reports itself
-      {!degraded}, and with every slot retired execution is plain
-      sequential.  Fault-injection sites: ["par.worker"] (death on job
-      pickup) and ["par.spawn"] (spawn failure).
+    - {b A spawn shortfall only costs parallelism}: {!create} spawns
+      helpers until one fails, and the pool is the helpers that
+      started; {!domains} counts them, {!warnings} records the
+      shortfall, and with none started execution is plain sequential.
+      Fault-injection site: ["par.spawn"] (spawn failure).
 
     A pool is meant to be driven by a single orchestrating domain;
     concurrent submissions to the same pool from several domains are
@@ -43,13 +40,14 @@ val default_domains : unit -> int
     integer, otherwise {!available_domains}. *)
 
 val create : ?domains:int -> unit -> t
-(** A pool of [domains] participants ([domains - 1] spawned helper
-    domains plus the caller).  Defaults to {!default_domains}.
-    [domains <= 1] yields a helper-free pool whose operations all run
-    sequentially. *)
+(** A pool of up to [domains] participants ([domains - 1] spawned
+    helper domains plus the caller), fewer when a spawn fails.
+    Defaults to {!default_domains}.  [domains <= 1] yields a
+    helper-free pool whose operations all run sequentially. *)
 
 val domains : t -> int
-(** Participant count (helpers + the calling domain). *)
+(** Participant count: the helpers that started plus the calling
+    domain. *)
 
 val shutdown : t -> unit
 (** Stop and join the helper domains.  Idempotent.  Operations on a
@@ -57,7 +55,8 @@ val shutdown : t -> unit
 
 val get : ?domains:int -> unit -> t
 (** The shared global pool, created lazily and grown (never shrunk) to
-    satisfy the largest [domains] requested so far.  Never shut down —
+    satisfy the largest [domains] requested so far; a pool that came
+    up short is rebuilt on the next request.  Never shut down —
     use {!create} for pools whose lifetime a test must control. *)
 
 val in_worker : unit -> bool
@@ -71,12 +70,7 @@ val assert_orchestrator : what:string -> unit
     enforces that no scoring worker ever reaches the commit path. *)
 
 val warnings : t -> string list
-(** Recorded degradation events (spawn failures, worker deaths,
-    respawns), oldest first. *)
-
-val degraded : t -> bool
-(** Some helper slot is permanently retired: the pool runs below its
-    nominal domain count. *)
+(** The spawn shortfall, if any: at most one line. *)
 
 val parallel_iter : ?chunk:int -> t -> (int -> unit) -> int -> unit
 (** [parallel_iter pool f n] runs [f i] for every [i] in [0..n-1],

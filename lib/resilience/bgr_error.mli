@@ -41,9 +41,6 @@ val raise_error :
 
 val code_name : code -> string
 
-val all_codes : code list
-(** Every code, in declaration order. *)
-
 val code_of_name : string -> code option
 (** Inverse of {!code_name} — how a code round-trips a process or wire
     boundary (the daemon's worker pipe, the client CLI's exit-code

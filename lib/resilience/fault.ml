@@ -10,7 +10,6 @@ type plan = { seed : int; rules : (string * mode) list }
 let builtin_sites =
   [ "io.parse";
     "router.improve";
-    "par.worker";
     "par.spawn";
     "persist.append";
     "persist.snapshot";

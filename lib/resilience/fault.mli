@@ -1,7 +1,7 @@
 (** Deterministic fault injection.
 
     The pipeline is sprinkled with named {e injection sites} (e.g.
-    ["io.parse"], ["router.improve"], ["par.worker"], ["par.spawn"],
+    ["io.parse"], ["router.improve"], ["par.spawn"],
     ["persist.append"], ["persist.snapshot"], ["persist.fsync"], and
     ["obs.sink"] — the last one fails a trace sink write, which [Obs]
     must degrade to a warning rather than fail the run).
@@ -10,7 +10,7 @@
     which hits of which sites fail:
 
     {v
-    seed=42; par.worker:n=1; io.parse:p=0.05; router.improve:always
+    seed=42; par.spawn:n=1; io.parse:p=0.05; router.improve:always
     v}
 
     - [SITE:n=K] — fire on exactly the K-th hit of [SITE] (1-based);
@@ -35,7 +35,7 @@ type plan
 val builtin_sites : string list
 (** Every injection site the pipeline calls, the registry
     {!parse_plan} validates against: ["io.parse"],
-    ["router.improve"], ["par.worker"], ["par.spawn"],
+    ["router.improve"], ["par.spawn"],
     ["persist.append"], ["persist.snapshot"], ["persist.fsync"],
     ["obs.sink"], ["analyze.qlog"], and the serving daemon's
     ["serve.accept"], ["serve.read"], ["serve.write"], ["serve.job"],

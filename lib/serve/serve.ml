@@ -428,7 +428,7 @@ let executor cfg spool sh () =
       (try run_job cfg spool sh job
        with e ->
          (* Last-ditch containment: an unstructured exception must not
-            kill the executor; the job is retired as Internal. *)
+            kill the executor; the job is dead-lettered as Internal. *)
          let err =
            Bgr_error.make ~phase:"serve" Bgr_error.Internal "unexpected exception: %s"
              (Printexc.to_string e)

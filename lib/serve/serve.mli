@@ -118,7 +118,7 @@ type stats = {
   s_requeued : int;  (** jobs the startup supervisor re-queued *)
   s_accepted : int;  (** new submissions durably accepted *)
   s_completed : int;  (** jobs finished with a RESULT *)
-  s_failed : int;  (** jobs retired to the dead-letter dir *)
+  s_failed : int;  (** jobs moved to the dead-letter dir *)
   s_retried : int;  (** attempt retries taken *)
   s_rejected : int;  (** submissions refused (overloaded or draining) *)
   s_protocol_errors : int;  (** malformed frames/requests answered *)

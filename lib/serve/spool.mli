@@ -7,7 +7,7 @@
                                 the Persist run-dir files of the attempt
     ROOT/jobs/<id>/RESULT       one JSON line, written atomically on success
     ROOT/dead/<id>/...          the whole directory, journal intact, after
-                                the job is retired; plus an ERROR json
+                                the job is dead-lettered; plus an ERROR json
     ROOT/quarantine/<id>/...    same shape as dead/, for jobs that
                                 repeatedly killed their worker process
     v}

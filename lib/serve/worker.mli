@@ -75,12 +75,6 @@ val attempt :
 
 (** {1 The worker process} *)
 
-val set_mem_limit_mb : int -> bool
-(** Apply an address-space ceiling ([setrlimit(RLIMIT_AS)]) to the
-    calling process, so a runaway allocation surfaces as a catchable
-    [Out_of_memory] instead of an OOM-killer SIGKILL.  [mb <= 0] is a
-    no-op.  False when the kernel refused. *)
-
 val oom_exit_code : int
 (** [70] — the worker's exit code after [Out_of_memory], recognized by
     the supervisor even when the OOM frame itself failed to flush. *)

@@ -114,13 +114,6 @@ val violations : t -> int list
 
 (** {1 Static (zero-capacitance) analysis} *)
 
-val static_net_slacks : Delay_graph.t -> Path_constraint.t list -> float array
-(** Per-net slack with all wiring capacitances forced to zero: the
-    minimum over constraints [P] with the net's driver in [G_d(P)] of
-    [tau_P - (lp_fwd(driver) + lp_bwd(driver))]; [infinity] for nets
-    under no constraint.  Restores the previous capacitances before
-    returning. *)
-
 val static_net_order : Delay_graph.t -> Path_constraint.t list -> int list
 (** All net ids "arranged in ascending order" of static slack
     (Sec. 3.1) — the feedthrough assignment order. *)

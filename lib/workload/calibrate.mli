@@ -8,20 +8,10 @@
     delay — tight enough that timing-driven routing matters, loose
     enough to be meetable. *)
 
-val against_layout :
-  ?channel_tracks:int array ->
-  netlist:Netlist.t ->
-  constraints:Path_constraint.t list ->
-  fp:Floorplan.t ->
-  headroom:float ->
-  unit ->
-  Path_constraint.t list
-(** Each limit becomes [hpwl_delay * (1 + headroom)]; constraints with
-    no feasible path keep their original limit.  [channel_tracks]
-    switches the bound to physical terminal rectangles (channel heights
-    included). *)
-
 val against_reference_route : input:Flow.input -> headroom:float -> Path_constraint.t list
 (** Calibrate against an unconstrained reference routing of [input]:
     bounds use that run's floorplan and channel heights — the
-    "layout data analysis" of the paper's C3 constraints. *)
+    "layout data analysis" of the paper's C3 constraints.  Each limit
+    becomes [hpwl_delay * (1 + headroom)] over physical terminal
+    rectangles (channel heights included); constraints with no
+    feasible path keep their original limit. *)

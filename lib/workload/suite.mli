@@ -16,12 +16,6 @@ type case = {
   input : Flow.input;
 }
 
-val circuit_params : string -> Circuit_gen.params
-(** Generation parameters of "C1", "C2" or "C3".
-    @raise Not_found otherwise. *)
-
-val rows_of_circuit : string -> int
-
 val make_case : circuit:string -> placement:Placement.style -> case
 
 val all : unit -> case list

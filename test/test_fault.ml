@@ -1,6 +1,6 @@
-(* Fault injection and pool hardening: plan parsing, worker death and
-   respawn, spawn failure degrading to sequential, and the io.parse
-   site surfacing as a structured Error rather than an exception. *)
+(* Fault injection: plan parsing, a pool spawn shortfall shrinking the
+   pool to the helpers that started, and the io.parse site surfacing as
+   a structured Error rather than an exception. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -19,22 +19,22 @@ let test_parse_plan () =
   (match Fault.parse_plan "" with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "empty plan should parse: %s" m);
-  ignore (plan "seed=42; par.worker:n=1; io.parse:p=0.5; router.improve:always");
-  ignore (plan "par.worker:n=3,par.spawn:always");
+  ignore (plan "seed=42; par.spawn:n=1; io.parse:p=0.5; router.improve:always");
+  ignore (plan "par.spawn:n=3,io.parse:always");
   List.iter
     (fun bad ->
       match Fault.parse_plan bad with
       | Ok _ -> Alcotest.failf "plan %S should be rejected" bad
       | Error _ -> ())
-    [ "par.worker";
-      "par.worker:n=x";
-      "par.worker:p=2.5";
+    [ "par.spawn";
+      "par.spawn:n=x";
+      "io.parse:p=2.5";
       "whatever:";
       ":n=1";
       "seed=";
       (* Duplicate clauses for one site are ambiguous (which rule
          wins?) and always a typo in practice — rejected outright. *)
-      "par.worker:n=1, par.worker:always";
+      "par.spawn:n=1, par.spawn:always";
       "seed=7;persist.append:n=3;io.parse:p=0.5;persist.append:always" ]
 
 (* A site outside the registry would silently never fire; the plan is
@@ -47,7 +47,7 @@ let test_unknown_site_rejected () =
       | Error m ->
         check_bool "message says unknown site" true
           (String.length m >= 12 && String.sub m 12 7 = "unknown"))
-    [ "serve.acept:n=1"; "router.impro:always"; "nosuch.site:p=0.5" ];
+    [ "serve.acept:n=1"; "router.impro:always"; "nosuch.site:p=0.5"; "par.worker:n=1" ];
   (* the four serving sites are registered *)
   ignore (plan "serve.accept:n=1;serve.read:always;serve.write:p=0.5;serve.job:n=2");
   (* declared synthetic sites are accepted *)
@@ -105,43 +105,21 @@ let sum_with_pool pool n =
 
 let expected_sum n = n * (n - 1) / 2
 
-(* One worker dies mid-run: no chunk may be lost, and the pool heals
-   itself (respawn) with a recorded warning. *)
-let test_worker_death_recovers () =
-  Fault.with_plan (plan "par.worker:n=1") (fun () ->
-      let pool = Par.create ~domains:4 () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
-          let n = 5000 in
-          check_int "no work lost on worker death" (expected_sum n) (sum_with_pool pool n);
-          check_int "later rounds also complete" (expected_sum n) (sum_with_pool pool n);
-          check_bool "the death left a warning" true (Par.warnings pool <> [])))
-
-(* Every worker dies on every pickup: after each slot's one respawn is
-   spent the pool is degraded — and still computes everything. *)
-let test_all_workers_die_degrades () =
-  Fault.with_plan (plan "par.worker:always") (fun () ->
-      let pool = Par.create ~domains:4 () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
-          let n = 2000 in
-          for _ = 1 to 4 do
-            check_int "sequential fallback still sums" (expected_sum n) (sum_with_pool pool n)
-          done;
-          check_bool "pool reports degraded" true (Par.degraded pool)))
-
+(* A pool keeps the helpers that spawned before the first failure and
+   reports the shortfall once. *)
 let test_spawn_failure_degrades () =
-  Fault.with_plan (plan "par.spawn:always") (fun () ->
-      let pool = Par.create ~domains:4 () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
-          let n = 1000 in
-          check_int "spawn-less pool still sums" (expected_sum n) (sum_with_pool pool n);
-          check_bool "degraded from birth" true (Par.degraded pool);
-          check_bool "spawn failure recorded" true (Par.warnings pool <> [])))
+  List.iter
+    (fun (p, started) ->
+      Fault.with_plan (plan p) (fun () ->
+          let pool = Par.create ~domains:4 () in
+          Fun.protect
+            ~finally:(fun () -> Par.shutdown pool)
+            (fun () ->
+              let n = 1000 in
+              check_int "short pool still sums" (expected_sum n) (sum_with_pool pool n);
+              check_int "the caller plus the started helpers" (1 + started) (Par.domains pool);
+              check_int "one shortfall warning" 1 (List.length (Par.warnings pool)))))
+    [ ("par.spawn:always", 0); ("par.spawn:n=2", 1) ]
 
 (* The io.parse site turns into a structured Error on the Result path,
    never an exception. *)
@@ -155,22 +133,24 @@ let test_io_parse_fault () =
       | exception e ->
         Alcotest.failf "exception escaped the Result path: %s" (Printexc.to_string e))
 
-(* Routing under a worker-death plan must still match the clean
-   sequential result: deaths cost parallelism, never correctness. *)
-let test_routing_survives_worker_death () =
+(* Routing with every helper failing to spawn reports the one domain
+   that scores and matches the sequential result.  This must be the
+   executable's first [Par.get]: a healthy global pool would be reused
+   and hide the shortfall. *)
+let test_routing_under_spawn_failure () =
   let route ~domains =
-    let case = Suite.mini () in
-    let outcome =
-      Flow.run
-        ~options:{ Router.default_options with Router.domains }
-        ~timing_driven:true case.Suite.input
-    in
-    Printf.sprintf "del=%d hash=%d" outcome.Flow.o_measurement.Flow.m_deletions
-      (Router.deletion_hash outcome.Flow.o_router)
+    Flow.run
+      ~options:{ Router.default_options with Router.domains }
+      ~timing_driven:true (Suite.mini ()).Suite.input
   in
+  let faulty = Fault.with_plan (plan "par.spawn:always") (fun () -> route ~domains:3) in
   let clean = route ~domains:1 in
-  let faulty = Fault.with_plan (plan "par.worker:n=2") (fun () -> route ~domains:4) in
-  Alcotest.(check string) "worker death does not change the routing" clean faulty
+  let m = faulty.Flow.o_measurement in
+  check_int "one scoring domain" 1 m.Flow.m_domains;
+  check_int "one pool warning" 1 (List.length m.Flow.m_par_warnings);
+  check_int "1-domain deletion hash"
+    (Router.deletion_hash clean.Flow.o_router)
+    (Router.deletion_hash faulty.Flow.o_router)
 
 let suite =
   [ Alcotest.test_case "parse_plan grammar" `Quick test_parse_plan;
@@ -178,11 +158,9 @@ let suite =
     Alcotest.test_case "declare_site double registration" `Quick test_declare_site_idempotent;
     Alcotest.test_case "n=K counting" `Quick test_trip_counts;
     Alcotest.test_case "always + check" `Quick test_always_and_check;
-    Alcotest.test_case "worker death recovers" `Quick test_worker_death_recovers;
-    Alcotest.test_case "all workers die -> degraded" `Quick test_all_workers_die_degrades;
     Alcotest.test_case "spawn failure -> degraded" `Quick test_spawn_failure_degrades;
     Alcotest.test_case "io.parse fault is structured" `Quick test_io_parse_fault;
-    Alcotest.test_case "routing unaffected by worker death" `Quick
-      test_routing_survives_worker_death ]
+    Alcotest.test_case "routing under spawn failure matches 1 domain" `Quick
+      test_routing_under_spawn_failure ]
 
 let () = Alcotest.run "fault" [ ("fault", suite) ]

@@ -1328,11 +1328,11 @@ let test_cancel_running_worker () =
   (match Serve_client.next_reply ~timeout_s:60.0 c with
   | Ok (Wire.Rerror { code; _ }) -> check Alcotest.string "waiter told canceled" "canceled" code
   | _ -> Alcotest.fail "waiter not told");
-  (* the canceled job is retired with a structured canceled json *)
+  (* the canceled job is dead-lettered with a structured canceled json *)
   (match rq c2 (Wire.Status { job = Some "stuck" }) with
   | Wire.Info { json } -> (
     match Option.bind (json_field json "state") Qjson.to_str with
-    | Some s -> check Alcotest.string "retired" "dead" s
+    | Some s -> check Alcotest.string "dead-lettered" "dead" s
     | None -> Alcotest.fail "no state")
   | _ -> Alcotest.fail "status after cancel");
   (match rq c2 (Wire.Cancel { job = "nope" }) with

@@ -160,7 +160,6 @@ let suite =
     Alcotest.test_case "always + check" `Quick test_always_and_check;
     Alcotest.test_case "spawn failure -> degraded" `Quick test_spawn_failure_degrades;
     Alcotest.test_case "io.parse fault is structured" `Quick test_io_parse_fault;
-    Alcotest.test_case "routing under spawn failure matches 1 domain" `Quick
-      test_routing_under_spawn_failure ]
+    Alcotest.test_case "routing under spawn failure" `Quick test_routing_under_spawn_failure ]
 
 let () = Alcotest.run "fault" [ ("fault", suite) ]

@@ -76,8 +76,8 @@ type net_state = {
    graphs are rebuilt deterministically), so the numbering made once in
    [create] holds for the router's lifetime, and ascending slots are the
    (net, edge) order.  Besides the candidate byte, the columns hold the
-   lazily refreshed Sec. 3.4 values, each group stamped with the
-   revision(s) it was computed at. *)
+   Sec. 3.4 values [refresh_slot] recomputes, each group stamped with
+   the revision(s) it was computed at. *)
 type slots = {
   base : int array;  (* n_nets + 1 offsets *)
   net_of : int array;
@@ -441,17 +441,12 @@ let refresh_tree t ns =
 let sta_revision t = match t.sta with None -> 0 | Some sta -> Sta.timing_revision sta
 
 (* Freshness of delay_key's columns (timing and net revisions) and of
-   density_params' (the channel's revision).  The warm pass tests both
-   via [slot_fresh], so it computes exactly what the accessors would. *)
+   density_params' (the channel's revision).  The warm pass refreshes
+   only the slots [slot_fresh] rejects. *)
 let key_fresh t ns s = t.sl.key_sta_rev.(s) = sta_revision t && t.sl.key_net_rev.(s) = ns.rev
 let dens_fresh t s ~channel = t.sl.dens_rev.(s) = Density.revision t.dens ~channel
-
-let slot_fresh t s =
-  let ns = net_of_slot t s in
-  key_fresh t ns s
-  &&
-  let channel, _ = Routing_graph.density_locus ns.rg (edge_of_slot t s) in
-  dens_fresh t s ~channel
+let slot_channel t s = Routing_graph.density_channel (net_of_slot t s).rg (edge_of_slot t s)
+let slot_fresh t s = key_fresh t (net_of_slot t s) s && dens_fresh t s ~channel:(slot_channel t s)
 
 let cl_without t s =
   let sl = t.sl in
@@ -520,37 +515,34 @@ let delay_key t s =
     Float.Array.set sl.lm_min s !lm_min
   end
 
-(* Refresh the slot's density interval parameters; returns the edge's
-   channel. *)
+(* Refresh the slot's density interval parameters. *)
 let density_params t s =
   let sl = t.sl in
-  let channel, span = Routing_graph.density_locus (net_of_slot t s).rg (edge_of_slot t s) in
+  let channel = slot_channel t s in
   if not (dens_fresh t s ~channel) then begin
     sl.dens_rev.(s) <- Density.revision t.dens ~channel;
+    let _, span = Routing_graph.density_locus (net_of_slot t s).rg (edge_of_slot t s) in
     let d_max, nd_max, d_min, nd_min = Density.edge_params t.dens ~channel ~span in
     sl.d_max.(s) <- d_max;
     sl.nd_max.(s) <- nd_max;
     sl.d_min.(s) <- d_min;
     sl.nd_min.(s) <- nd_min
-  end;
-  channel
+  end
+
+(* The one point where a slot's Sec. 3.4 columns are recomputed: the
+   comparators below only read them, so every slot is refreshed before
+   it is compared. *)
+let refresh_slot t s =
+  delay_key t s;
+  density_params t s
 
 (* --- candidate comparison (Sec. 3.4) -------------------------------- *)
 
-let float_cmp a b =
-  let eps = 1e-9 in
-  if a < b -. eps then -1 else if a > b +. eps then 1 else 0
-
 let compare_gl_ld t s1 s2 =
-  delay_key t s1;
-  delay_key t s2;
-  let c = float_cmp (Float.Array.get t.sl.gl s1) (Float.Array.get t.sl.gl s2) in
-  if c <> 0 then c else float_cmp (Float.Array.get t.sl.ld s1) (Float.Array.get t.sl.ld s2)
+  let c = Float.compare (Float.Array.get t.sl.gl s1) (Float.Array.get t.sl.gl s2) in
+  if c <> 0 then c else Float.compare (Float.Array.get t.sl.ld s1) (Float.Array.get t.sl.ld s2)
 
-let compare_cd_only t s1 s2 =
-  delay_key t s1;
-  delay_key t s2;
-  Int.compare t.sl.cd.(s1) t.sl.cd.(s2)
+let compare_cd_only t s1 s2 = Int.compare t.sl.cd.(s1) t.sl.cd.(s2)
 
 let compare_delay t s1 s2 =
   let c = compare_cd_only t s1 s2 in
@@ -562,7 +554,7 @@ let compare_density t s1 s2 =
   if t1 && not t2 then -1
   else if t2 && not t1 then 1
   else begin
-    let c1 = density_params t s1 and c2 = density_params t s2 in
+    let c1 = slot_channel t s1 and c2 = slot_channel t s2 in
     let cmp agg param =
       Int.compare (agg t.dens ~channel:c1 - param.(s1)) (agg t.dens ~channel:c2 - param.(s2))
     in
@@ -579,7 +571,7 @@ let compare_length t s1 s2 =
     (Ugraph.edge (net_of_slot t s).rg.Routing_graph.graph (edge_of_slot t s)).Ugraph.weight
   in
   (* Longer edge preferred. *)
-  float_cmp (weight s2) (weight s1)
+  Float.compare (weight s2) (weight s1)
 
 (* The two Sec. 3.4 comparison chains, with the criterion names the
    deletions-by-criterion counter reports. *)
@@ -594,9 +586,12 @@ let area_chain =
 
 let active_chain t = if t.area_mode then area_chain else delay_chain
 
+(* A strict total order: every criterion compares exactly and the slot
+   id breaks the remaining ties, so the winner is the unique minimum
+   whatever order the candidates are visited in. *)
 let compare_candidates t a b =
   let rec go = function
-    | [] -> Int.compare a b (* deterministic final tie-break: the (net, edge) order *)
+    | [] -> Int.compare a b
     | (_, cmp) :: rest ->
       let c = cmp t a b in
       if c <> 0 then c else go rest
@@ -604,9 +599,8 @@ let compare_candidates t a b =
   go (active_chain t)
 
 (* Name of the first criterion that separates winner [a] from runner-up
-   [b].  Pure cache reads (every comparator is memoized and already
-   warm after the selection scan), used only to label the deletion
-   counter — never to choose a candidate. *)
+   [b].  Pure column reads, used only to label the deletion counter —
+   never to choose a candidate. *)
 let criterion_between t a b =
   let rec go = function
     | [] -> "id_tie_break"
@@ -616,11 +610,7 @@ let criterion_between t a b =
 
 (* Call [f] on every admissible candidate slot of [net_ids] and
    [rejected] on every other one — a candidate of a mirrored pair is
-   admissible only when its partner image is a candidate too — in the
-   order the sequential selection visits them: nets in list order, then
-   ascending edge id.  The order matters: float_cmp's tolerance makes
-   the chain non-transitive, so the id tie-break alone does not fix the
-   winner. *)
+   admissible only when its partner image is a candidate too. *)
 let iter_admissible t net_ids ~rejected f =
   let sl = t.sl in
   List.iter
@@ -641,16 +631,16 @@ let iter_admissible t net_ids ~rejected f =
       done)
     net_ids
 
-(* Parallel pre-computation of every candidate's heuristic values
-   (C_d, Gl, LD via delay_key — including the tentative-tree CL(n)
-   without the edge — and the density interval parameters).
+(* Parallel [refresh_slot] of every stale candidate (C_d, Gl, LD —
+   including the tentative-tree CL(n) without the edge — and the
+   density interval parameters).
 
    Scoring is read-only with respect to everything shared: each slot's
    columns are written by exactly one domain, and all values are
    deterministic functions of the routing state.  The only lazily
    mutated shared caches on the read path (the per-channel density
    aggregates) are warmed on the calling domain first.  The sequential
-   selection that follows then finds every cache fresh and compares
+   selection that follows then finds every slot fresh and compares
    exactly the numbers the sequential engine would have computed —
    which is the determinism argument for the whole parallel engine (see
    DESIGN.md): parallel score, sequential apply, bit-identical
@@ -678,11 +668,7 @@ let warm_selection_caches t net_ids =
         ignore (Density.cm t.dens ~channel:c);
         ignore (Density.ncm t.dens ~channel:c)
       done;
-      Par.parallel_iter pool
-        (fun i ->
-          delay_key t stale.(i);
-          ignore (density_params t stale.(i)))
-        n
+      Par.parallel_iter pool (fun i -> refresh_slot t stale.(i)) n
     end
 
 (* The best candidate slot under [compare_candidates].  With
@@ -696,6 +682,7 @@ let select t net_ids ~runner_up =
   iter_admissible t net_ids
     ~rejected:(fun () -> if observed then Obs.Metrics.inc m_bridge_rej)
     (fun s ->
+      refresh_slot t s;
       if !best < 0 then best := s
       else if compare_candidates t s !best < 0 then begin
         if runner_up then second := !best;
@@ -709,7 +696,7 @@ let select t net_ids ~runner_up =
 (* Returns the chosen slot plus the criterion label for the deletion
    counter and the quality log.  The winner does not depend on
    [runner_up] — the runner-up tracking and the criterion naming are
-   pure warm-cache reads — so turning either consumer on leaves the
+   pure column reads — so turning either consumer on leaves the
    deletion hash unchanged. *)
 let select_among t net_ids =
   let observed = observing () in
@@ -923,9 +910,6 @@ let route_among t net_ids =
       let n = t.sl.net_of.(s) and eid = edge_of_slot t s in
       let before = t.deletions in
       if observing () then begin
-        (* delay_key only re-reads the columns the selection scan just
-           warmed; the LM(e,P) value was computed either way. *)
-        delay_key t s;
         let lm = Float.Array.get t.sl.lm_min s in
         if lm < infinity then Obs.Metrics.observe m_lm lm;
         commit_deletion t n eid;

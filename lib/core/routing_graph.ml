@@ -24,6 +24,11 @@ let edge_kind t eid = t.ekind.(eid)
 
 let is_trunk t eid = match t.ekind.(eid) with Trunk _ -> true | Branch _ | Correspondence _ -> false
 
+let density_channel t eid =
+  match t.ekind.(eid) with
+  | Trunk { channel; _ } | Correspondence { channel; _ } -> channel
+  | Branch { row; _ } -> row
+
 let density_locus t eid =
   match t.ekind.(eid) with
   | Trunk { channel; span } -> (channel, span)

@@ -60,6 +60,9 @@ val density_locus : t -> int -> int * Interval.t
     gets a single-column interval at its attachment (a branch uses its
     row's lower channel). *)
 
+val density_channel : t -> int -> int
+(** The channel of [density_locus], without building the pair. *)
+
 val prune_dangling : t -> on_delete:(Ugraph.edge -> unit) -> unit
 (** Repeatedly delete the last edge of any degree-<=1 non-terminal
     vertex, invoking the callback on each deletion (for density

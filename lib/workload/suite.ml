@@ -63,7 +63,7 @@ let cache : (string, Netlist.t * Path_constraint.t list) Hashtbl.t = Hashtbl.cre
 let cache_mutex = Mutex.create ()
 
 (* Constraint limits are calibrated against an unconstrained reference
-   routing of the P1 layout: 10% headroom over each constraint's
+   routing of the P1 layout: 18% headroom over each constraint's
    physical half-perimeter delay bound (see Calibrate). *)
 let calibration_headroom = 0.18
 

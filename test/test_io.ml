@@ -205,34 +205,8 @@ let test_bundle_embedded_library () =
   let outcome = Flow.run (Design_io.to_flow_input bundle) in
   check_bool "routes from the embedded library" true (Router.is_routed outcome.Flow.o_router)
 
-let test_route_export_roundtrip () =
-  let case = Suite.mini () in
-  let outcome = Flow.run case.Suite.input in
-  let router = outcome.Flow.o_router in
-  let text = Route_io.to_string router in
-  let parsed = Route_io.parse ~netlist:case.Suite.input.Flow.netlist text in
-  check_bool "export matches the live trees" true (Route_io.matches_router router parsed);
-  (* Corrupt one descriptor: the match must fail. *)
-  let corrupted =
-    match parsed with
-    | (net, Route_io.Trunk { channel; x_lo; x_hi } :: rest) :: more ->
-      (net, Route_io.Trunk { channel; x_lo = x_lo + 1; x_hi } :: rest) :: more
-    | (net, d :: rest) :: more -> (net, rest @ [ d; d ]) :: more
-    | other -> other
-  in
-  check_bool "corruption detected" false (Route_io.matches_router router corrupted)
-
-let test_route_export_errors () =
-  let case = Suite.mini () in
-  let netlist = case.Suite.input.Flow.netlist in
-  expect_parse_error "unknown net" (fun () ->
-      Route_io.parse ~netlist "net nosuch trunk 0 1 2\n");
-  expect_parse_error "bad directive" (fun () -> Route_io.parse ~netlist "wire n1 0 1 2\n")
-
 let suite =
   [ Alcotest.test_case "netlist round trip" `Quick test_netlist_roundtrip;
-    Alcotest.test_case "route export round trip" `Quick test_route_export_roundtrip;
-    Alcotest.test_case "route export errors" `Quick test_route_export_errors;
     Alcotest.test_case "cell library round trip" `Quick test_library_roundtrip;
     Alcotest.test_case "cell library parse errors" `Quick test_library_errors;
     Alcotest.test_case "bundle with embedded library" `Quick test_bundle_embedded_library;

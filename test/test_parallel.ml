@@ -64,6 +64,40 @@ let test_suite_unconstrained_pinned () =
         (route ~timing:false ~domains:1 case))
     (Suite.all ())
 
+(* Deletion hashes of C1P1's ablation routes (A1, A3, A4, A5), the same
+   at 1 and 4 domains: no other test pins these selection paths. *)
+let pinned_ablations =
+  let o = Router.default_options in
+  [ ( "area_first_ordering",
+      { o with Router.area_first_ordering = true },
+      Flow.Concurrent_edge_deletion,
+      1192941602485415256 );
+    ( "Star_bbox",
+      { o with Router.cl_estimator = Router.Star_bbox },
+      Flow.Concurrent_edge_deletion,
+      2186715792833289406 );
+    ( "Elmore_rc",
+      { o with Router.delay_model = Router.Elmore_rc },
+      Flow.Concurrent_edge_deletion,
+      290012071749432511 );
+    ("Sequential_net_at_a_time", o, Flow.Sequential_net_at_a_time, 2878437541840357601) ]
+
+let test_ablations_pinned () =
+  let case = Suite.make_case ~circuit:"C1" ~placement:Placement.P1 in
+  List.iter
+    (fun (name, options, algorithm, pinned) ->
+      List.iter
+        (fun domains ->
+          let outcome =
+            Flow.run ~options:{ options with Router.domains } ~algorithm case.Suite.input
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "C1P1 %s, %d domains: pinned deletion hash" name domains)
+            pinned
+            (Router.deletion_hash outcome.Flow.o_router))
+        [ 1; 4 ])
+    pinned_ablations
+
 let test_unconstrained () =
   let case = Suite.make_case ~circuit:"C1" ~placement:Placement.P1 in
   Alcotest.(check string) "C1P1 unconstrained: 1 domain = 4 domains"
@@ -98,6 +132,7 @@ let suite =
   [ Alcotest.test_case "full suite constrained: seq = par" `Slow test_full_suite_constrained;
     Alcotest.test_case "unconstrained: seq = par" `Slow test_unconstrained;
     Alcotest.test_case "unconstrained suite: pinned hashes" `Slow test_suite_unconstrained_pinned;
+    Alcotest.test_case "C1P1 ablations: pinned hashes" `Slow test_ablations_pinned;
     Alcotest.test_case "repeated parallel runs stable" `Slow test_repeated_runs_stable;
     Alcotest.test_case "parallel suite runner = sequential" `Slow test_suite_runner_equivalent ]
 

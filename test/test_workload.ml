@@ -185,6 +185,30 @@ let test_calibrate_tightens_to_bound () =
           (pc.Path_constraint.limit_ps > bounds.(ci)))
     input.Flow.constraints
 
+(* The reference route is the same at every domain count, so calibrating
+   builds no scoring pool: with BGR_DOMAINS above any pool this
+   executable holds, a pool request would have to spawn helpers. *)
+let test_calibrate_spawns_no_pool () =
+  let netlist, constraints = Circuit_gen.generate small_params in
+  let placed = Placement.place ~netlist ~n_rows:3 Placement.P1 in
+  let input = Placement.to_flow_input ~netlist ~dims:Dims.default ~constraints placed in
+  let plan =
+    match Fault.parse_plan "par.spawn:always" with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let saved = Option.value (Sys.getenv_opt "BGR_DOMAINS") ~default:"" in
+  Unix.putenv "BGR_DOMAINS" (string_of_int (Par.default_domains () + 1));
+  let spawns =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "BGR_DOMAINS" saved)
+      (fun () ->
+        Fault.with_plan plan (fun () ->
+            ignore (Calibrate.against_reference_route ~input ~headroom:0.18);
+            Fault.fired "par.spawn"))
+  in
+  check_int "par.spawn hits while calibrating" 0 spawns
+
 let test_suite_cases () =
   let cases = Suite.all () in
   check_int "five cases as in Table 1" 5 (List.length cases);
@@ -211,6 +235,7 @@ let suite =
     Alcotest.test_case "placement styles differ" `Quick test_placement_styles_differ;
     Alcotest.test_case "placement refinement sanity" `Quick test_placement_hpwl_sanity;
     Alcotest.test_case "calibration above bound" `Quick test_calibrate_tightens_to_bound;
+    Alcotest.test_case "calibration spawns no pool" `Quick test_calibrate_spawns_no_pool;
     Alcotest.test_case "suite cases" `Quick test_suite_cases ]
 
 let () = Alcotest.run "workload" [ ("workload", suite) ]
